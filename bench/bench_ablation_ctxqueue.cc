@@ -10,6 +10,7 @@
  * — the knee at eight entries should reproduce.
  *
  * Usage: bench_ablation_ctxqueue [--threads N] [--out results.jsonl]
+ *                                [--exec-mode MODE]
  */
 
 #include <algorithm>
@@ -29,22 +30,16 @@ int
 main(int argc, char **argv)
 {
     unsigned threads = 1;
-    bool no_fast_forward = false;
-    bool no_predecode = false;
-    bool no_block_exec = false;
+    std::string exec_mode = "block";
     std::string out_path;
     ArgParser parser("Ablation: NaxRiscv LSU ctxQueue depth vs switch "
                      "latency");
     parser.addUnsigned("--threads", &threads, "worker threads");
     parser.addString("--out", &out_path, "JSONL output path");
-    parser.addFlag("--no-fast-forward", &no_fast_forward,
-                   "tick every cycle (reference mode)");
-    parser.addFlag("--no-predecode", &no_predecode,
-                   "decode from memory on every fetch");
-    parser.addFlag("--no-block-exec", &no_block_exec,
-                   "disable superblock execution");
+    parser.addString("--exec-mode", &exec_mode,
+                     "reference|ff-decode|ff-predecode|block "
+                     "(identical results)");
     parser.parse(argc, argv);
-    const bool fast_forward = !no_fast_forward;
     setQuiet(true);
 
     SweepSpec spec;
@@ -55,9 +50,7 @@ main(int argc, char **argv)
     spec.iterations = 10;
 
     SweepRunner runner(threads);
-    runner.setFastForward(fast_forward);
-    runner.setPredecode(!no_predecode);
-    runner.setBlockExec(!no_block_exec);
+    runner.setExecMode(execModeFromName(exec_mode));
     const auto results = runner.run(spec);
 
     std::printf("Ablation: ctxQueue depth on NaxRiscv (SLT), mean "

@@ -9,6 +9,7 @@
  * behind the paper's 8-entry default.
  *
  * Usage: bench_ablation_lists [--threads N] [--out results.jsonl]
+ *                             [--exec-mode MODE]
  */
 
 #include <algorithm>
@@ -28,22 +29,16 @@ int
 main(int argc, char **argv)
 {
     unsigned threads = 1;
-    bool no_fast_forward = false;
-    bool no_predecode = false;
-    bool no_block_exec = false;
+    std::string exec_mode = "block";
     std::string out_path;
     ArgParser parser("Ablation: hardware list length vs switch latency "
                      "on CV32E40P (T)");
     parser.addUnsigned("--threads", &threads, "worker threads");
     parser.addString("--out", &out_path, "JSONL output path");
-    parser.addFlag("--no-fast-forward", &no_fast_forward,
-                   "tick every cycle (reference mode)");
-    parser.addFlag("--no-predecode", &no_predecode,
-                   "decode from memory on every fetch");
-    parser.addFlag("--no-block-exec", &no_block_exec,
-                   "disable superblock execution");
+    parser.addString("--exec-mode", &exec_mode,
+                     "reference|ff-decode|ff-predecode|block "
+                     "(identical results)");
     parser.parse(argc, argv);
-    const bool fast_forward = !no_fast_forward;
     setQuiet(true);
 
     SweepSpec spec;
@@ -57,9 +52,7 @@ main(int argc, char **argv)
     spec.iterations = 10;
 
     SweepRunner runner(threads);
-    runner.setFastForward(fast_forward);
-    runner.setPredecode(!no_predecode);
-    runner.setBlockExec(!no_block_exec);
+    runner.setExecMode(execModeFromName(exec_mode));
     const auto results = runner.run(spec);
 
     std::printf("Ablation: hardware list length on CV32E40P (T), "

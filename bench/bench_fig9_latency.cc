@@ -18,13 +18,13 @@
  * Usage: bench_fig9_latency [--iterations N] [--per-workload]
  *                           [--threads N] [--out results.jsonl]
  *                           [--trace trace.jsonl]
- *                           [--no-fast-forward] [--no-predecode]
- *                           [--no-block-exec] [--timing]
+ *                           [--exec-mode MODE] [--timing]
  *
- * --no-fast-forward forces the per-cycle reference mode of the
- * simulation kernel, --no-predecode disables the decode-once text
- * image and --no-block-exec disables superblock execution (all
- * byte-identical results, just slower); --timing adds the
+ * --exec-mode picks how the simulator advances time: reference ticks
+ * every cycle, ff-decode fast-forwards but decodes every fetch from
+ * memory, ff-predecode adds the decode-once text image, and block (the
+ * default) adds superblock execution. All four give byte-identical
+ * results; the others are just slower. --timing adds the
  * nondeterministic wall_ms/mips fields to --out lines. The --out
  * stream starts with a schema-stamped header line.
  */
@@ -49,9 +49,7 @@ main(int argc, char **argv)
     unsigned iterations = 20;
     unsigned threads = 1;
     bool per_workload = false;
-    bool no_fast_forward = false;
-    bool no_predecode = false;
-    bool no_block_exec = false;
+    std::string exec_mode = "block";
     bool include_timing = false;
     std::string out_path;
     std::string trace_path;
@@ -65,16 +63,12 @@ main(int argc, char **argv)
                      "per-switch trace JSONL path");
     parser.addFlag("--per-workload", &per_workload,
                    "print one table per workload");
-    parser.addFlag("--no-fast-forward", &no_fast_forward,
-                   "tick every cycle (reference mode)");
-    parser.addFlag("--no-predecode", &no_predecode,
-                   "decode from memory on every fetch");
-    parser.addFlag("--no-block-exec", &no_block_exec,
-                   "disable superblock execution");
+    parser.addString("--exec-mode", &exec_mode,
+                     "reference|ff-decode|ff-predecode|block "
+                     "(identical results)");
     parser.addFlag("--timing", &include_timing,
                    "include wall-clock timing in the output");
     parser.parse(argc, argv);
-    const bool fast_forward = !no_fast_forward;
     setQuiet(true);
 
     SweepSpec spec;
@@ -85,12 +79,7 @@ main(int argc, char **argv)
 
     const bool capture_trace = !trace_path.empty();
     SweepRunner runner(threads);
-    // --no-fast-forward runs the per-cycle reference mode; results are
-    // identical by construction (see tests/test_differential.cc), the
-    // knob exists to prove exactly that and to debug the kernel.
-    runner.setFastForward(fast_forward);
-    runner.setPredecode(!no_predecode);
-    runner.setBlockExec(!no_block_exec);
+    runner.setExecMode(execModeFromName(exec_mode));
     const auto results = runner.run(spec, capture_trace);
 
     std::printf("Figure 9: context-switch latencies (cycles), "

@@ -21,10 +21,11 @@
  *                     [--iterations N] [--timer-period CYCLES]
  *                     [--faults N] [--campaign-size N] [--seed S]
  *                     [--threads N] [--out campaign.jsonl]
- *                     [--strict] [--selftest] [--no-block-exec]
+ *                     [--strict] [--selftest] [--exec-mode MODE]
  *
- * Block execution is exact, so --no-block-exec must not change a
- * single outcome classification; CI runs the selftest both ways.
+ * Every execution mode is exact, so --exec-mode (see
+ * bench_fig9_latency) must not change a single outcome
+ * classification; ctest runs the selftest in two modes.
  */
 
 #include <cstdio>
@@ -90,7 +91,7 @@ printSummary(const CampaignResult &res)
  */
 unsigned
 runSelftest(const SweepRunner &runner, unsigned iterations,
-            Word timer_period, bool block_exec)
+            Word timer_period, ExecMode mode)
 {
     unsigned failures = 0;
     const auto expect = [&](bool ok, const std::string &what) {
@@ -114,7 +115,7 @@ runSelftest(const SweepRunner &runner, unsigned iterations,
         cs.points = spec.points();
         cs.faultsPerPoint = 1;
         cs.seed = 42;
-        cs.blockExec = block_exec;
+        cs.mode = mode;
         const CampaignResult res = runCampaign(cs, runner);
         expect(res.cleanOracleHits() == 0,
                csprintf("clean matrix fired %u oracle hits (first: %s)",
@@ -169,7 +170,7 @@ runSelftest(const SweepRunner &runner, unsigned iterations,
         pt.reseed();
         GoldenRecord golden;
         const FaultRunRecord rec =
-            runSingleFault(pt, fx.fault, true, &golden, block_exec);
+            runSingleFault(pt, fx.fault, &golden, mode);
         const std::string label =
             csprintf("%s/%s", fx.config, fx.fault.describe().c_str());
         expect(golden.oracleHits == 0,
@@ -208,7 +209,7 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_inject_campaign.jsonl";
     bool strict = false;
     bool selftest = false;
-    bool no_block_exec = false;
+    std::string exec_mode = "block";
 
     ArgParser parser("Fault-injection campaign with kernel-invariant "
                      "oracles");
@@ -233,16 +234,17 @@ main(int argc, char **argv)
                    "exit non-zero on any silent-corruption outcome");
     parser.addFlag("--selftest", &selftest,
                    "run the seeded-defect matrix and exit");
-    parser.addFlag("--no-block-exec", &no_block_exec,
-                   "disable superblock execution (classification must "
-                   "not change)");
+    parser.addString("--exec-mode", &exec_mode,
+                     "reference|ff-decode|ff-predecode|block "
+                     "(classification must not change)");
     parser.parse(argc, argv);
+    const ExecMode mode = execModeFromName(exec_mode);
 
     const SweepRunner runner(threads);
 
     if (selftest) {
         const unsigned failures =
-            runSelftest(runner, iterations, timer_period, !no_block_exec);
+            runSelftest(runner, iterations, timer_period, mode);
         if (failures != 0) {
             std::fprintf(stderr, "selftest: %u failures\n", failures);
             return 1;
@@ -264,7 +266,7 @@ main(int argc, char **argv)
     CampaignSpec cs;
     cs.points = spec.points();
     cs.seed = seed;
-    cs.blockExec = !no_block_exec;
+    cs.mode = mode;
     cs.faultsPerPoint = faults;
     if (campaign_size != 0) {
         cs.faultsPerPoint = std::max<unsigned>(

@@ -203,23 +203,20 @@ main(int argc, char **argv)
                 // traces captured for the four-way byte-identity
                 // check. Each mode runs --repeats times keeping the
                 // minimum wall time.
-                const auto bestOf = [&p, repeats](bool fast, bool pre,
-                                                  bool block) {
-                    SweepResult best =
-                        runSweepPoint(p, true, fast, pre, block);
+                const auto bestOf = [&p, repeats](ExecMode mode) {
+                    SweepResult best = runSweepPoint(p, true, mode);
                     for (unsigned k = 1; k < repeats; ++k) {
-                        SweepResult r =
-                            runSweepPoint(p, true, fast, pre, block);
+                        SweepResult r = runSweepPoint(p, true, mode);
                         if (r.run.throughput.wallSeconds <
                             best.run.throughput.wallSeconds)
                             best = std::move(r);
                     }
                     return best;
                 };
-                const SweepResult ref = bestOf(false, true, true);
-                const SweepResult nopre = bestOf(true, false, true);
-                const SweepResult noblock = bestOf(true, true, false);
-                const SweepResult ff = bestOf(true, true, true);
+                const SweepResult ref = bestOf(ExecMode::kReference);
+                const SweepResult nopre = bestOf(ExecMode::kFfDecode);
+                const SweepResult noblock = bestOf(ExecMode::kFfPredecode);
+                const SweepResult ff = bestOf(ExecMode::kBlock);
 
                 PointReport r;
                 r.point = p;

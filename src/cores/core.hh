@@ -163,6 +163,72 @@ class Core : public Clocked
         return state_.reg(insn.rs1) + static_cast<Word>(insn.imm);
     }
 
+    /** The word at @p pc may run in-block: the index covers it and it
+     *  is not a stop word. */
+    bool
+    blockCovers(Addr pc) const
+    {
+        return blockindex_->covers(pc) &&
+               !(blockindex_->flagsAt(pc) & BlockIndex::kStop);
+    }
+
+    /** @p insn, about to run in-block, is not a load/store whose
+     *  access leaves plain SRAM. */
+    bool
+    blockSafe(const DecodedInsn &insn) const
+    {
+        return (insn.cls != InsnClass::kLoad &&
+                insn.cls != InsnClass::kStore) ||
+               blockSafeAccess(effectiveAddr(insn), accessSize(insn.op));
+    }
+
+    /** Both pre-validations for the word at @p pc: its pre-decoded
+     *  instruction, or nullptr if the per-instruction path must run
+     *  it. A bail has no effects, so the caller's cycle stays wholly
+     *  unconsumed. */
+    const DecodedInsn *
+    blockInsnAt(Addr pc) const
+    {
+        if (!blockCovers(pc))
+            return nullptr;
+        const DecodedInsn &insn = predecode_->at(pc);
+        return blockSafe(insn) ? &insn : nullptr;
+    }
+
+    /** Superblock bookkeeping of one blockRun() call. */
+    struct BlockTally
+    {
+        /** Retired since the last control transfer. */
+        std::uint32_t sinceBoundary = 0;
+        /** The run ended at a word the per-instruction path must run. */
+        bool bailed = false;
+    };
+
+    /** Count one in-block retirement: a control transfer closes a
+     *  superblock. */
+    void
+    blockRetired(BlockTally &tally, InsnClass cls)
+    {
+        if (cls == InsnClass::kBranch || cls == InsnClass::kJump) {
+            ++stats_.blocksExecuted;
+            tally.sinceBoundary = 0;
+        } else {
+            ++tally.sinceBoundary;
+        }
+    }
+
+    /** Close a blockRun() call that advanced from @p now to @p t;
+     *  returns the cycles consumed. */
+    Cycle
+    blockClose(const BlockTally &tally, Cycle now, Cycle t)
+    {
+        if (tally.sinceBoundary > 0)
+            ++stats_.blocksExecuted;  // partial run up to the exit point
+        if (tally.bailed)
+            ++stats_.blockFallbacks;
+        return t - now;
+    }
+
     static unsigned
     accessSize(Op op)
     {

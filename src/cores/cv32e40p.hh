@@ -36,7 +36,7 @@ struct Cv32e40pParams
     unsigned divBaseCycles = 3;     ///< plus one per significant bit
 };
 
-class Cv32e40pCore : public Core
+class Cv32e40pCore final : public Core
 {
   public:
     Cv32e40pCore(const Env &env, const Cv32e40pParams &params = {})
@@ -124,17 +124,10 @@ class Cv32e40pCore : public Core
     const StrideSlot *findSlot(Addr target) const;
     StrideSlot *findSlot(Addr target);
 
-    /** Outcome of one in-block instruction step. */
-    enum class BlockStep
-    {
-        kDone,     ///< retired, run continues at the next word
-        kControl,  ///< retired a branch/jump: block boundary
-        kBailMem,  ///< unsafe access, nothing executed: fall back
-        kHorizon,  ///< issued, stall crosses the bound: window full
-    };
-    /** Execute the (pre-validated non-stop) instruction at pc; @p t is
-     *  advanced by the instruction's full pipeline occupancy. */
-    BlockStep blockStep(Cycle &t, Cycle bound);
+    /** Issue @p insn at @p pc: execute it, retire it (or take its
+     *  trap) and leave its remaining pipeline occupancy in
+     *  remaining_. The one issue path of tick() and blockRun(). */
+    void issue(const DecodedInsn &insn, Addr pc, Cycle now);
     /** A valid, not-written-off stride anchor sits at @p pc: the
      *  per-cycle path must run it so the loop can confirm. */
     bool strideSlotLive(Addr pc) const;

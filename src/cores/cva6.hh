@@ -44,7 +44,7 @@ struct Cva6Params
     CacheParams cache{4 * 1024, 4, 16, /*writeBack=*/false};
 };
 
-class Cva6Core : public Core
+class Cva6Core final : public Core
 {
   public:
     Cva6Core(const Env &env, SharedPort &bus_port,
@@ -71,6 +71,9 @@ class Cva6Core : public Core
 
   private:
     bool stalledByUnit(const DecodedInsn &insn) const;
+    /** Bus occupancy of cycle @p now: the top of every cycle that is
+     *  not skipped. */
+    void busCycle(Cycle now);
     /** Issue one instruction; updates timing state. */
     void issue(Cycle now);
     unsigned predictorIndex(Addr pc) const;

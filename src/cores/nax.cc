@@ -178,7 +178,7 @@ NaxCore::skipTo(Cycle now, Cycle target)
 }
 
 void
-NaxCore::tick(Cycle now)
+NaxCore::portCycle(Cycle now)
 {
     // The cache port must be reset each core cycle (the simulation
     // only manages the system-level ports).
@@ -187,6 +187,12 @@ NaxCore::tick(Cycle now)
     // A refill in flight owns the D$ port.
     if (now < cacheBusyUntil_)
         cachePort_.claim();
+}
+
+void
+NaxCore::tick(Cycle now)
+{
+    portCycle(now);
 
     if (mretPending_ && now >= mretDoneAt_) {
         mretPending_ = false;
@@ -439,27 +445,22 @@ NaxCore::blockRun(Cycle now, Cycle bound)
     }
 
     Cycle t = now;
-    std::uint32_t sinceBoundary = 0;
-    bool bailed = false;
+    BlockTally tally;
     while (t < bound) {
         if (t < dispatchBlockedUntil_) {
-            // Committed redirect/trap-shadow stall cycles: same
-            // closed-form as skipTo() (retire is monotone, so one
-            // call at the last stalled cycle equals one per cycle).
+            // Committed redirect/trap-shadow stall cycles; nothing
+            // in-block sleeps, traps or returns, so skipTo() is exact.
             const Cycle adv = std::min(dispatchBlockedUntil_, bound);
-            retire(adv - 1);
-            stats_.stallCycles += adv - t;
+            skipTo(t, adv);
             t = adv;
             continue;
         }
 
-        // Cycle-t prelude, exactly the top of tick(). Re-running it
-        // after a bail at this cycle is harmless: beginCycle/claim are
-        // unobservable while the ctxQueue is quiescent, retire() is
-        // idempotent for a fixed cycle.
-        cachePort_.beginCycle();
-        if (t < cacheBusyUntil_)
-            cachePort_.claim();
+        // Cycle-t prelude, as tick() runs it with no interrupt ready.
+        // Re-running it after a bail at this cycle is harmless:
+        // beginCycle/claim are unobservable while the ctxQueue is
+        // quiescent, retire() is idempotent for a fixed cycle.
+        portCycle(t);
         retire(t);
 
         if (rob_.size() >= params_.robEntries) {
@@ -470,22 +471,12 @@ NaxCore::blockRun(Cycle now, Cycle bound)
 
         // ---- group pre-verification (no effects until it passes) ----
         const Addr pc0 = state_.pc();
-        if (!blockindex_->covers(pc0)) {
-            bailed = true;
+        const DecodedInsn *insn0 = blockInsnAt(pc0);
+        if (!insn0) {
+            tally.bailed = true;
             break;
         }
-        const std::uint8_t flags0 = blockindex_->flagsAt(pc0);
-        if (flags0 & BlockIndex::kStop) {
-            bailed = true;
-            break;
-        }
-        const DecodedInsn &insn0 = predecode_->at(pc0);
-        if ((flags0 & BlockIndex::kMem) &&
-            !blockSafeAccess(effectiveAddr(insn0), accessSize(insn0.op))) {
-            bailed = true;
-            break;
-        }
-        const InsnClass cls0 = insn0.cls;
+        const InsnClass cls0 = insn0->cls;
 
         // Resolve slot 0's control flow without executing it, to learn
         // the group width and slot 1's pc.
@@ -493,89 +484,57 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         Addr pc1 = pc0 + 4;
         if (cls0 == InsnClass::kBranch) {
             const bool taken = Executor::evalBranch(
-                insn0.op, state_.reg(insn0.rs1), state_.reg(insn0.rs2));
+                insn0->op, state_.reg(insn0->rs1), state_.reg(insn0->rs2));
             if ((predictor_[predictorIndex(pc0)] >= 2) != taken)
                 one_wide = true;  // mispredict redirects the front-end
             if (taken)
-                pc1 = pc0 + static_cast<Word>(insn0.imm);
+                pc1 = pc0 + static_cast<Word>(insn0->imm);
         } else if (cls0 == InsnClass::kJump) {
-            if (insn0.op == Op::kJal)
-                pc1 = pc0 + static_cast<Word>(insn0.imm);
+            if (insn0->op == Op::kJal)
+                pc1 = pc0 + static_cast<Word>(insn0->imm);
             else
                 one_wide = true;  // jalr resolves at execute: redirect
         }
 
         InsnClass cls1 = InsnClass::kAlu;
         if (!one_wide) {
-            if (!blockindex_->covers(pc1)) {
-                bailed = true;
+            const DecodedInsn *insn1 = blockInsnAt(pc1);
+            // Slot 0's result may feed slot 1's address register; the
+            // address can't be checked before slot 0 runs.
+            const bool mem1 = insn1 && (insn1->cls == InsnClass::kLoad ||
+                                        insn1->cls == InsnClass::kStore);
+            if (!insn1 || (mem1 && insn0->hasRd && insn0->rd != 0 &&
+                           insn1->useRs1 && insn1->rs1 == insn0->rd)) {
+                tally.bailed = true;
                 break;
-            }
-            const std::uint8_t flags1 = blockindex_->flagsAt(pc1);
-            if (flags1 & BlockIndex::kStop) {
-                bailed = true;
-                break;
-            }
-            const DecodedInsn &insn1 = predecode_->at(pc1);
-            if (flags1 & BlockIndex::kMem) {
-                // Slot 0's result may feed slot 1's address register;
-                // the address can't be checked before slot 0 runs.
-                if (insn0.hasRd && insn0.rd != 0 && insn1.useRs1 &&
-                    insn1.rs1 == insn0.rd) {
-                    bailed = true;
-                    break;
-                }
-                if (!blockSafeAccess(effectiveAddr(insn1),
-                                     accessSize(insn1.op))) {
-                    bailed = true;
-                    break;
-                }
             }
             // A slot-0 store that lands on slot 1's instruction word
             // re-decodes it before the per-cycle path would fetch it;
             // the pre-verification above would be stale.
             if (cls0 == InsnClass::kStore) {
-                const Addr ea0 = effectiveAddr(insn0);
-                if (ea0 < pc1 + 4 && ea0 + accessSize(insn0.op) > pc1) {
-                    bailed = true;
+                const Addr ea0 = effectiveAddr(*insn0);
+                if (ea0 < pc1 + 4 && ea0 + accessSize(insn0->op) > pc1) {
+                    tally.bailed = true;
                     break;
                 }
             }
-            cls1 = insn1.cls;
+            cls1 = insn1->cls;
         }
 
         // ---- dispatch, exactly tick()'s slot loop ----
         std::uint64_t before = stats_.instret;
         const bool cont = dispatchOne(t);
-        if (stats_.instret != before) {
-            if (cls0 == InsnClass::kBranch || cls0 == InsnClass::kJump) {
-                ++stats_.blocksExecuted;
-                sinceBoundary = 0;
-            } else {
-                ++sinceBoundary;
-            }
-        }
+        if (stats_.instret != before)
+            blockRetired(tally, cls0);
         if (cont && !one_wide) {
             before = stats_.instret;
             dispatchOne(t);  // may stall on a full ROB, as tick() would
-            if (stats_.instret != before) {
-                if (cls1 == InsnClass::kBranch ||
-                    cls1 == InsnClass::kJump) {
-                    ++stats_.blocksExecuted;
-                    sinceBoundary = 0;
-                } else {
-                    ++sinceBoundary;
-                }
-            }
+            if (stats_.instret != before)
+                blockRetired(tally, cls1);
         }
         t += 1;
     }
-
-    if (sinceBoundary > 0)
-        ++stats_.blocksExecuted;  // partial run up to the exit point
-    if (bailed)
-        ++stats_.blockFallbacks;
-    return t - now;
+    return blockClose(tally, now, t);
 }
 
 } // namespace rtu

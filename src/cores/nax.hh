@@ -98,7 +98,7 @@ class NaxCtxQueuePort : public UnitMemPort
     Cycle pipeBlockedUntil_ = 0;
 };
 
-class NaxCore : public Core
+class NaxCore final : public Core
 {
   public:
     NaxCore(const Env &env, const NaxParams &params = {});
@@ -129,6 +129,9 @@ class NaxCore : public Core
 
   private:
     bool stalledByUnit(const DecodedInsn &insn) const;
+    /** D$-port occupancy of cycle @p now: the top of every cycle that
+     *  is not skipped. */
+    void portCycle(Cycle now);
     bool dispatchOne(Cycle now);
     void retire(Cycle now);
     unsigned predictorIndex(Addr pc) const;

@@ -31,6 +31,31 @@ runStatusName(RunStatus status)
     return "?";
 }
 
+const char *
+execModeName(ExecMode mode)
+{
+    switch (mode) {
+      case ExecMode::kReference: return "reference";
+      case ExecMode::kFfDecode: return "ff-decode";
+      case ExecMode::kFfPredecode: return "ff-predecode";
+      case ExecMode::kBlock: return "block";
+    }
+    return "?";
+}
+
+ExecMode
+execModeFromName(const std::string &name)
+{
+    for (ExecMode mode : {ExecMode::kReference, ExecMode::kFfDecode,
+                          ExecMode::kFfPredecode, ExecMode::kBlock}) {
+        if (name == execModeName(mode))
+            return mode;
+    }
+    fatal("unknown execution mode '%s' (reference, ff-decode, "
+          "ff-predecode, block)",
+          name.c_str());
+}
+
 Simulation::Simulation(const SimConfig &config, const Program &program)
     : config_(config), program_(program), ext_(irq_),
       imem_("imem", memmap::kImemBase, memmap::kImemSize),
@@ -56,14 +81,13 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     // Decode the whole text segment once; per-cycle fetch becomes an
     // array index. Stores and injected faults landing in text re-decode
     // the touched words through the write observer.
-    if (config_.predecode && !program.text.empty())
+    if (config_.mode != ExecMode::kFfDecode && !program.text.empty())
         predecode_.install(mem_, program.textBase, program.text.size());
 
     // Superblock index on top of the image: straight-line run lengths
     // and worst-case block costs, kept coherent with text writes via
-    // the image's invalidation listener. Without fast-forward there is
-    // no event horizon to execute blocks against, so skip it.
-    if (config_.blockExec && config_.fastForward && predecode_.installed())
+    // the image's invalidation listener.
+    if (config_.mode == ExecMode::kBlock && predecode_.installed())
         blockindex_.install(predecode_, Cv32e40pCostParams{});
 
     state_.setPc(program.textBase);
@@ -257,7 +281,8 @@ Simulation::run()
         // guest crashing (expected under fault injection), not a
         // simulator bug: end the run instead of aborting the host.
         try {
-            if (config_.fastForward && kernel_.fastForward(limit))
+            if (config_.mode != ExecMode::kReference &&
+                kernel_.fastForward(limit))
                 continue;
             kernel_.tickOne();
         } catch (const GuestFault &gf) {

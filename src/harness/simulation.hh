@@ -35,6 +35,26 @@ enum class CoreKind { kCv32e40p, kCva6, kNax };
 
 const char *coreKindName(CoreKind kind);
 
+/**
+ * How the simulator advances time. The modes are exact by
+ * construction: each yields byte-identical traces and counters (the
+ * four-way differential in tests/test_differential.cc proves it), so a
+ * mode only trades host speed against how little machinery runs.
+ */
+enum class ExecMode
+{
+    kReference,    ///< tick every cycle, predecoded image
+    kFfDecode,     ///< event-driven fast-forward, decode from memory
+    kFfPredecode,  ///< fast-forward, predecoded image
+    kBlock,        ///< fast-forward, image, superblock execution
+};
+
+/** "reference", "ff-decode", "ff-predecode" or "block". */
+const char *execModeName(ExecMode mode);
+
+/** Inverse of execModeName(); fatal() on an unknown name. */
+ExecMode execModeFromName(const std::string &name);
+
 struct SimConfig
 {
     CoreKind core = CoreKind::kCv32e40p;
@@ -43,19 +63,7 @@ struct SimConfig
     std::uint64_t maxCycles = 20'000'000;
     /** NaxRiscv LSU ctxQueue depth (paper Fig 8; ablation knob). */
     unsigned naxCtxQueueEntries = 8;
-    /** Event-driven fast-forward; false = per-cycle reference mode. */
-    bool fastForward = true;
-    /** Decode the text segment once at install and fetch from the
-     *  predecoded image; false = decode from memory every fetch.
-     *  Behavior is bit-exact either way — this only moves decode work
-     *  out of the per-cycle path. */
-    bool predecode = true;
-    /** Superblock execution: partition the predecoded text into
-     *  straight-line blocks and let the cores execute whole blocks per
-     *  event-horizon check. Behavior is bit-exact either way — only
-     *  the per-instruction dispatch overhead moves. Requires (and is
-     *  ignored without) predecode + fastForward. */
-    bool blockExec = true;
+    ExecMode mode = ExecMode::kBlock;
     /** Abort after this many cycles without a retired instruction or
      *  trap (hung-guest diagnostic); 0 disables the watchdog. */
     std::uint64_t watchdogCycles = 2'000'000;

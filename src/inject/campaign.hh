@@ -54,10 +54,9 @@ struct CampaignSpec
     unsigned faultsPerPoint = 8;
     /** Campaign seed: the only input of the fault plans. */
     std::uint64_t seed = 1;
-    bool fastForward = true;
-    /** Superblock execution (default on). Classification must be
-     *  invariant under this knob — CI runs the selftest both ways. */
-    bool blockExec = true;
+    /** Classification must be invariant under the execution mode —
+     *  ctest runs the selftest in two modes. */
+    ExecMode mode = ExecMode::kBlock;
 };
 
 /**
@@ -136,9 +135,8 @@ FaultOutcome classifyOutcome(unsigned oracle_hits, RunStatus status,
  */
 FaultRunRecord runSingleFault(const SweepPoint &point,
                               const FaultSpec &fault,
-                              bool fast_forward = true,
                               GoldenRecord *golden_out = nullptr,
-                              bool block_exec = true);
+                              ExecMode mode = ExecMode::kBlock);
 
 /** One byte-stable JSONL line per injected run. */
 void writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,

@@ -61,8 +61,7 @@ SweepSpec::points() const
 }
 
 SweepResult
-runSweepPoint(const SweepPoint &point, bool capture_trace,
-              bool fast_forward, bool predecode, bool block_exec)
+runSweepPoint(const SweepPoint &point, bool capture_trace, ExecMode mode)
 {
     SweepResult out;
     out.point = point;
@@ -73,9 +72,7 @@ runSweepPoint(const SweepPoint &point, bool capture_trace,
     opts.timerPeriodCycles = point.timerPeriodCycles;
     opts.naxCtxQueueEntries = point.naxCtxQueueEntries;
     opts.seed = point.seed;
-    opts.fastForward = fast_forward;
-    opts.predecode = predecode;
-    opts.blockExec = block_exec;
+    opts.mode = mode;
 
     if (capture_trace) {
         std::ostringstream trace;
@@ -133,8 +130,7 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &pts,
 {
     std::vector<SweepResult> results(pts.size());
     forEachIndex(pts.size(), [&](std::size_t i) {
-        results[i] = runSweepPoint(pts[i], capture_trace, fastForward_,
-                                   predecode_, blockExec_);
+        results[i] = runSweepPoint(pts[i], capture_trace, mode_);
     });
     return results;
 }

@@ -141,9 +141,7 @@ bareConfig(bool block_exec)
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.fastForward = true;
-    cfg.predecode = true;
-    cfg.blockExec = block_exec;
+    cfg.mode = block_exec ? ExecMode::kBlock : ExecMode::kFfPredecode;
     cfg.maxCycles = 5000;
     cfg.watchdogCycles = 0;
     return cfg;
@@ -209,7 +207,7 @@ TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
 
     std::vector<SweepResult> on{runSweepPoint(p, false)};
     const std::vector<SweepResult> off{
-        runSweepPoint(p, false, true, true, /*block_exec=*/false)};
+        runSweepPoint(p, false, ExecMode::kFfPredecode)};
 
     EXPECT_GT(on[0].run.throughput.cyclesBlockExecuted, 0u);
     EXPECT_GT(on[0].run.coreStats.blocksExecuted, 0u);

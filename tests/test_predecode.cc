@@ -145,13 +145,12 @@ TEST(Predecode, InjectedBitFlipRedecodesToTheFlippedInstruction)
 }
 
 SimConfig
-bareConfig(bool fast_forward, bool predecode)
+bareConfig(bool predecode)
 {
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.fastForward = fast_forward;
-    cfg.predecode = predecode;
+    cfg.mode = predecode ? ExecMode::kBlock : ExecMode::kFfDecode;
     cfg.maxCycles = 5000;
     cfg.watchdogCycles = 0;
     return cfg;
@@ -173,7 +172,7 @@ TEST(Predecode, WildJumpEndsTheRunAsAGuestFault)
 {
     const Program p = wildJumpProgram();
     for (bool predecode : {true, false}) {
-        Simulation sim(bareConfig(true, predecode), p);
+        Simulation sim(bareConfig(predecode), p);
         EXPECT_FALSE(sim.run());
         EXPECT_EQ(sim.status(), RunStatus::kGuestFault)
             << "predecode=" << predecode;
@@ -204,7 +203,7 @@ TEST(Predecode, SelfModifyingStoreIsObservedByTheImage)
     const Program p = selfModifyProgram();
 
     auto run = [&](bool predecode) {
-        Simulation sim(bareConfig(true, predecode), p);
+        Simulation sim(bareConfig(predecode), p);
         EXPECT_FALSE(sim.run());  // spins to the cycle limit
         EXPECT_EQ(sim.archState().reg(A0), 42u)
             << "predecode=" << predecode
@@ -258,18 +257,20 @@ TEST(PredecodeDifferential, ImageOnMatchesImageOffAcrossTheMatrix)
         for (const char *w : workloads) {
             SweepPoint p;
             // Round-robin the cores over the matrix; alternate the
-            // kernel mode so both fast-forward and reference ticking
-            // are exercised against the image.
+            // image-on mode so both block execution and reference
+            // ticking are compared against decoding from memory.
             p.core = cores[idx % cores.size()];
             p.unit = unit;
             p.workload = w;
             p.iterations = 3;
             p.reseed();
-            const bool ff = idx % 2 == 0;
+            const ExecMode mode =
+                idx % 2 == 0 ? ExecMode::kBlock : ExecMode::kReference;
             ++idx;
 
-            const SweepResult on = runSweepPoint(p, true, ff, true);
-            const SweepResult off = runSweepPoint(p, true, ff, false);
+            const SweepResult on = runSweepPoint(p, true, mode);
+            const SweepResult off =
+                runSweepPoint(p, true, ExecMode::kFfDecode);
             const std::string key = p.key();
 
             EXPECT_EQ(on.run.ok, off.run.ok) << key;

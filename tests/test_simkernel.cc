@@ -308,7 +308,7 @@ bareConfig(bool fast_forward)
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.fastForward = fast_forward;
+    cfg.mode = fast_forward ? ExecMode::kBlock : ExecMode::kReference;
     return cfg;
 }
 
