@@ -49,7 +49,10 @@ RtosUnit::setContextId(Word id)
 {
     rtu_assert(config_.store || config_.load,
                "SET_CONTEXT_ID requires context storing/loading");
-    rtu_assert(id < memmap::kCtxMaxTasks, "task id %u out of range", id);
+    // Operands are guest values (a corrupted TCB can carry any id):
+    // out of range ends the run, it does not abort the host.
+    if (id >= memmap::kCtxMaxTasks)
+        guest_fault("SET_CONTEXT_ID task id %u out of range", id);
     currentCtxId_ = static_cast<TaskId>(id);
     if (config_.load)
         scheduleRestore(currentCtxId_);
@@ -73,7 +76,8 @@ void
 RtosUnit::addReady(Word id, Word prio)
 {
     rtu_assert(config_.sched, "ADD_READY requires hardware scheduling");
-    rtu_assert(id < memmap::kCtxMaxTasks, "task id %u out of range", id);
+    if (id >= memmap::kCtxMaxTasks)
+        guest_fault("ADD_READY task id %u out of range", id);
     ready_.insert(static_cast<TaskId>(id), static_cast<Priority>(prio));
 }
 
@@ -109,8 +113,8 @@ Word
 RtosUnit::semTake(Word sem_id)
 {
     rtu_assert(config_.hwsync, "SEM_TAKE without the +HS extension");
-    rtu_assert(sem_id < sems_.size(), "semaphore id %u out of range",
-               sem_id);
+    if (sem_id >= sems_.size())
+        guest_fault("SEM_TAKE semaphore id %u out of range", sem_id);
     HwSemaphore &s = sems_[sem_id];
     ++stats_.semTakes;
     if (s.count > 0) {
@@ -131,8 +135,8 @@ Word
 RtosUnit::semGive(Word sem_id)
 {
     rtu_assert(config_.hwsync, "SEM_GIVE without the +HS extension");
-    rtu_assert(sem_id < sems_.size(), "semaphore id %u out of range",
-               sem_id);
+    if (sem_id >= sems_.size())
+        guest_fault("SEM_GIVE semaphore id %u out of range", sem_id);
     HwSemaphore &s = sems_[sem_id];
     ++stats_.semGives;
     TaskId id = 0;

@@ -1,9 +1,12 @@
 /** Harness tests: workload registry, experiment driver, cross-core
- *  runs, activity counters and latency merging. */
+ *  runs, activity counters, latency merging, and guest operands that
+ *  must end a run instead of aborting the host. */
 
 #include <gtest/gtest.h>
 
+#include "asm/assembler.hh"
 #include "harness/experiment.hh"
+#include "sim/memmap.hh"
 
 namespace rtu {
 namespace {
@@ -144,6 +147,60 @@ TEST(Simulation, SwitchRecordsCarryValidTaskIds)
         EXPECT_GE(r.entryCycle, r.assertCycle);
         EXPECT_GT(r.mretCycle, r.entryCycle);
     }
+}
+
+/** Issue one RTOSUnit custom instruction whose id operand (t0) is far
+ *  out of range — what a bit flip in a TCB hands the unit. */
+Program
+badOperandProgram(void (*emit)(Assembler &))
+{
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    a.li(T0, 0x20'0001);
+    emit(a);
+    a.label("end");
+    a.j("end");
+    return a.finish();
+}
+
+void
+expectGuestFault(void (*emit)(Assembler &), const char *op)
+{
+    const Program program = badOperandProgram(emit);
+    SimConfig sc;
+    sc.core = CoreKind::kCv32e40p;
+    sc.unit = RtosUnitConfig::fromName("SLT");
+    sc.unit.hwsync = true;
+    sc.maxCycles = 1000;
+    Simulation sim(sc, program);
+    EXPECT_FALSE(sim.run());
+    EXPECT_EQ(sim.status(), RunStatus::kGuestFault) << op;
+    EXPECT_NE(sim.statusDiagnostic().find(op), std::string::npos)
+        << sim.statusDiagnostic();
+}
+
+TEST(GuestOperand, SetContextIdOutOfRangeIsAGuestFault)
+{
+    expectGuestFault([](Assembler &a) { a.rtuSetContextId(T0); },
+                     "SET_CONTEXT_ID");
+}
+
+TEST(GuestOperand, AddReadyOutOfRangeIsAGuestFault)
+{
+    expectGuestFault([](Assembler &a) { a.rtuAddReady(T0, Zero); },
+                     "ADD_READY");
+}
+
+TEST(GuestOperand, SemTakeOutOfRangeIsAGuestFault)
+{
+    expectGuestFault([](Assembler &a) { a.rtuSemTake(T1, T0); },
+                     "SEM_TAKE");
+}
+
+TEST(GuestOperand, SemGiveOutOfRangeIsAGuestFault)
+{
+    expectGuestFault([](Assembler &a) { a.rtuSemGive(T1, T0); },
+                     "SEM_GIVE");
 }
 
 } // namespace
