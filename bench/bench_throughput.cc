@@ -5,7 +5,8 @@
  * instruction store disabled, fast-forward with the image on but
  * superblock execution off, and fast-forward with everything on —
  * with episode traces captured. All four traces must be
- * byte-identical (exit 1 otherwise); the report quantifies what each
+ * byte-identical, and the mode-invariant core counters equal
+ * (trace_identical; exit 1 otherwise); the report quantifies what each
  * optimization buys: skip ratio (fraction of simulated cycles never
  * ticked), guest MIPS, the fast-forward wall-clock speedup over
  * reference, the predecode speedup over decode-from-memory fetching,
@@ -97,16 +98,26 @@ struct PointReport
     RunThroughput nopre;    ///< fast-forward, predecoded image off
     RunThroughput noblock;  ///< fast-forward, block execution off
     Cycle cycles = 0;
-    std::uint64_t instret = 0;
-    std::uint64_t fetchPredecoded = 0;
-    std::uint64_t fetchSlowPath = 0;
-    std::uint64_t textInvalidations = 0;
-    std::uint64_t blocksExecuted = 0;
-    std::uint64_t blockFallbacks = 0;
-    std::uint64_t blockInvalidations = 0;
+    CoreStats core;  ///< of the block-mode (ff) run
     bool traceIdentical = false;
     bool ok = false;
 };
+
+/** @p run matches the reference run @p ref: same episode trace,
+ *  cycle count, status and mode-invariant core counters. */
+bool
+sameAsReference(const SweepResult &run, const SweepResult &ref)
+{
+    if (run.trace != ref.trace || run.run.cycles != ref.run.cycles ||
+        run.run.status != ref.run.status)
+        return false;
+    for (const auto &row : kCoreStatsTable) {
+        if (row.modeInvariant &&
+            run.run.coreStats.*row.member != ref.run.coreStats.*row.member)
+            return false;
+    }
+    return true;
+}
 
 double
 mips(std::uint64_t instret, double seconds)
@@ -225,24 +236,10 @@ main(int argc, char **argv)
                 r.noblock = noblock.run.throughput;
                 r.ff = ff.run.throughput;
                 r.cycles = ff.run.cycles;
-                r.instret = ff.run.coreStats.instret;
-                r.fetchPredecoded = ff.run.coreStats.fetchPredecoded;
-                r.fetchSlowPath = ff.run.coreStats.fetchSlowPath;
-                r.textInvalidations =
-                    ff.run.coreStats.textInvalidations;
-                r.blocksExecuted = ff.run.coreStats.blocksExecuted;
-                r.blockFallbacks = ff.run.coreStats.blockFallbacks;
-                r.blockInvalidations =
-                    ff.run.coreStats.blockInvalidations;
-                r.traceIdentical =
-                    ff.trace == ref.trace && ff.trace == nopre.trace &&
-                    ff.trace == noblock.trace &&
-                    ff.run.cycles == ref.run.cycles &&
-                    ff.run.cycles == nopre.run.cycles &&
-                    ff.run.cycles == noblock.run.cycles &&
-                    ff.run.status == ref.run.status &&
-                    ff.run.status == nopre.run.status &&
-                    ff.run.status == noblock.run.status;
+                r.core = ff.run.coreStats;
+                r.traceIdentical = sameAsReference(ff, ref) &&
+                                   sameAsReference(nopre, ref) &&
+                                   sameAsReference(noblock, ref);
                 r.ok = ff.run.ok && ref.run.ok && nopre.run.ok &&
                        noblock.run.ok;
                 allIdentical = allIdentical && r.traceIdentical;
@@ -292,7 +289,7 @@ main(int argc, char **argv)
                 continue;
             ticked += r.ff.cyclesTicked + r.ff.cyclesBlockExecuted;
             skipped += r.ff.cyclesSkipped;
-            instret += r.instret;
+            instret += r.core.instret;
             refWall += r.ref.wallSeconds;
             ffWall += r.ff.wallSeconds;
             nopreWall += r.nopre.wallSeconds;
@@ -343,7 +340,7 @@ main(int argc, char **argv)
     std::ofstream os(out_path);
     if (!os)
         fatal("cannot open --out file '%s'", out_path.c_str());
-    os << "{\"schema\":2,\"iterations\":" << iterations
+    os << "{\"schema\":3,\"iterations\":" << iterations
        << ",\"timer_period\":" << timer_period
        << ",\"repeats\":" << repeats << ",\"results\":[";
     for (size_t i = 0; i < reports.size(); ++i) {
@@ -355,24 +352,15 @@ main(int argc, char **argv)
            << "\",\"ok\":" << (r.ok ? "true" : "false")
            << ",\"trace_identical\":"
            << (r.traceIdentical ? "true" : "false")
-           << ",\"cycles\":" << r.cycles
-           << ",\"cycles_ticked\":" << r.ff.cyclesTicked
-           << ",\"cycles_skipped\":" << r.ff.cyclesSkipped
-           << ",\"cycles_block_executed\":" << r.ff.cyclesBlockExecuted
-           << ",\"stride_skips\":" << r.ff.strideSkips
-           << ",\"block_runs\":" << r.ff.blockRuns
-           << ",\"skip_ratio\":"
+           << ",\"cycles\":" << r.cycles;
+        writeCounterFields(os, r.ff);
+        os << ",\"skip_ratio\":"
            << csprintf("%.4f",
                        skipRatio(r.ff.cyclesSkipped,
                                  r.ff.cyclesTicked +
-                                     r.ff.cyclesBlockExecuted))
-           << ",\"fetch_predecoded\":" << r.fetchPredecoded
-           << ",\"fetch_slow_path\":" << r.fetchSlowPath
-           << ",\"text_invalidations\":" << r.textInvalidations
-           << ",\"blocks_executed\":" << r.blocksExecuted
-           << ",\"block_fallbacks\":" << r.blockFallbacks
-           << ",\"block_invalidations\":" << r.blockInvalidations
-           << ",\"ref_wall_ms\":"
+                                     r.ff.cyclesBlockExecuted));
+        writeCounterFields(os, r.core);
+        os << ",\"ref_wall_ms\":"
            << csprintf("%.3f", r.ref.wallSeconds * 1e3)
            << ",\"nopre_wall_ms\":"
            << csprintf("%.3f", r.nopre.wallSeconds * 1e3)
@@ -381,13 +369,13 @@ main(int argc, char **argv)
            << ",\"ff_wall_ms\":"
            << csprintf("%.3f", r.ff.wallSeconds * 1e3)
            << ",\"ref_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.ref.wallSeconds))
+           << csprintf("%.3f", mips(r.core.instret, r.ref.wallSeconds))
            << ",\"nopre_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.nopre.wallSeconds))
+           << csprintf("%.3f", mips(r.core.instret, r.nopre.wallSeconds))
            << ",\"noblock_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.noblock.wallSeconds))
+           << csprintf("%.3f", mips(r.core.instret, r.noblock.wallSeconds))
            << ",\"ff_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.ff.wallSeconds))
+           << csprintf("%.3f", mips(r.core.instret, r.ff.wallSeconds))
            << ",\"speedup\":"
            << csprintf("%.3f", r.ff.wallSeconds > 0.0
                                    ? r.ref.wallSeconds / r.ff.wallSeconds
@@ -416,7 +404,7 @@ main(int argc, char **argv)
 
     if (!allIdentical) {
         std::fprintf(stderr, "FAIL: fast-forward and reference traces "
-                             "differ\n");
+                             "or mode-invariant counters differ\n");
         return 1;
     }
     if (min_skip_ratio > 0.0 && overallSkip < min_skip_ratio) {

@@ -12,6 +12,7 @@
 
 #include "arch_state.hh"
 #include "asm/decode.hh"
+#include "common/counters.hh"
 #include "executor.hh"
 #include "sim/blockexec.hh"
 #include "sim/clint.hh"
@@ -63,6 +64,34 @@ struct CoreStats
      *  simulation level (the index is shared, not per-core). */
     std::uint64_t blockInvalidations = 0;
 };
+
+/** CoreStats' counter table. The first eight rows are the
+ *  architectural and timing-model counters every ExecMode must agree
+ *  on; the front-end split and the block counters depend on the mode. */
+inline constexpr CounterRow<CoreStats> kCoreStatsTable[] = {
+    {"instret", &CoreStats::instret, true},
+    {"traps", &CoreStats::traps, true},
+    {"mrets", &CoreStats::mrets, true},
+    {"wfi_cycles", &CoreStats::wfiCycles, true},
+    {"mem_ops", &CoreStats::memOps, true},
+    {"stall_cycles", &CoreStats::stallCycles, true},
+    {"branch_mispredicts", &CoreStats::branchMispredicts, true},
+    {"cache_misses", &CoreStats::cacheMisses, true},
+    {"fetch_predecoded", &CoreStats::fetchPredecoded, false},
+    {"fetch_slow_path", &CoreStats::fetchSlowPath, false},
+    {"text_invalidations", &CoreStats::textInvalidations, false},
+    {"blocks_executed", &CoreStats::blocksExecuted, false},
+    {"block_fallbacks", &CoreStats::blockFallbacks, false},
+    {"block_invalidations", &CoreStats::blockInvalidations, false},
+};
+static_assert(coversEveryField(kCoreStatsTable),
+              "every CoreStats field needs exactly one kCoreStatsTable row");
+
+constexpr std::span<const CounterRow<CoreStats>>
+counterRows(const CoreStats &)
+{
+    return kCoreStatsTable;
+}
 
 class Core : public Clocked
 {

@@ -70,36 +70,16 @@ CoreStats
 statsDelta(const CoreStats &a, const CoreStats &b)
 {
     CoreStats d;
-    d.instret = a.instret - b.instret;
-    d.traps = a.traps - b.traps;
-    d.mrets = a.mrets - b.mrets;
-    d.wfiCycles = a.wfiCycles - b.wfiCycles;
-    d.memOps = a.memOps - b.memOps;
-    d.stallCycles = a.stallCycles - b.stallCycles;
-    d.branchMispredicts = a.branchMispredicts - b.branchMispredicts;
-    d.cacheMisses = a.cacheMisses - b.cacheMisses;
-    d.fetchPredecoded = a.fetchPredecoded - b.fetchPredecoded;
-    d.fetchSlowPath = a.fetchSlowPath - b.fetchSlowPath;
-    d.blocksExecuted = a.blocksExecuted - b.blocksExecuted;
-    d.blockFallbacks = a.blockFallbacks - b.blockFallbacks;
+    for (const auto &row : kCoreStatsTable)
+        d.*row.member = a.*row.member - b.*row.member;
     return d;
 }
 
 void
 statsAccumulate(CoreStats &s, const CoreStats &d, std::uint64_t k)
 {
-    s.instret += k * d.instret;
-    s.traps += k * d.traps;
-    s.mrets += k * d.mrets;
-    s.wfiCycles += k * d.wfiCycles;
-    s.memOps += k * d.memOps;
-    s.stallCycles += k * d.stallCycles;
-    s.branchMispredicts += k * d.branchMispredicts;
-    s.cacheMisses += k * d.cacheMisses;
-    s.fetchPredecoded += k * d.fetchPredecoded;
-    s.fetchSlowPath += k * d.fetchSlowPath;
-    s.blocksExecuted += k * d.blocksExecuted;
-    s.blockFallbacks += k * d.blockFallbacks;
+    for (const auto &row : kCoreStatsTable)
+        s.*row.member += k * d.*row.member;
 }
 
 } // namespace

@@ -168,20 +168,17 @@ ResultCache::load()
         std::string key;
         CachedRun run;
         std::uint64_t exitCode = 0, cycles = 0;
-        ActivityCounters &a = run.activity;
-        const bool ok =
+        bool ok =
             parseStringField(line, "\"key\":\"", &key) &&
             parseBoolField(line, "\"ok\":", &run.ok) &&
             parseU64Field(line, "\"exit_code\":", &exitCode) &&
             parseU64Field(line, "\"cycles\":", &cycles) &&
-            parseU64Field(line, "\"act_cycles\":", &a.cycles) &&
-            parseU64Field(line, "\"act_instret\":", &a.instret) &&
-            parseU64Field(line, "\"act_mem_ops\":", &a.memOps) &&
-            parseU64Field(line, "\"act_unit_words\":", &a.unitMemWords) &&
-            parseU64Field(line, "\"act_sort_phases\":", &a.sortPhases) &&
-            parseU64Field(line, "\"act_busy\":", &a.unitBusyCycles) &&
-            parseU64Field(line, "\"act_traps\":", &a.traps) &&
             parseSamplesField(line, "\"lat\":[", &run.switchSamples);
+        for (const auto &row : kActivityCountersTable) {
+            ok = ok && parseU64Field(line,
+                                     csprintf("\"%s\":", row.name).c_str(),
+                                     &(run.activity.*row.member));
+        }
         if (!ok) {
             ++skipped;
             warn("result cache %s:%zu: corrupt entry skipped",
@@ -235,21 +232,14 @@ ResultCache::append(const std::string &key, const CachedRun &run)
            << ",\"bench\":\"explore_cache\"}\n";
     }
 
-    const ActivityCounters &a = run.activity;
     std::ostringstream line;
     line << "{\"v\":" << kSchemaVersion
          << ",\"key\":\"" << jsonEscape(key)
          << "\",\"ok\":" << (run.ok ? "true" : "false")
          << ",\"exit_code\":" << run.exitCode
-         << ",\"cycles\":" << run.cycles
-         << ",\"act_cycles\":" << a.cycles
-         << ",\"act_instret\":" << a.instret
-         << ",\"act_mem_ops\":" << a.memOps
-         << ",\"act_unit_words\":" << a.unitMemWords
-         << ",\"act_sort_phases\":" << a.sortPhases
-         << ",\"act_busy\":" << a.unitBusyCycles
-         << ",\"act_traps\":" << a.traps
-         << ",\"lat\":[";
+         << ",\"cycles\":" << run.cycles;
+    writeCounterFields(line, run.activity);
+    line << ",\"lat\":[";
     for (size_t i = 0; i < run.switchSamples.size(); ++i) {
         if (i > 0)
             line << ',';

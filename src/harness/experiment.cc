@@ -68,15 +68,8 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
     res.cycles = sim.now();
     res.status = sim.status();
     res.diagnostic = sim.statusDiagnostic();
-    const SimKernelStats &ks = sim.kernelStats();
-    res.throughput.cyclesTicked = ks.cyclesTicked;
-    res.throughput.cyclesSkipped = ks.cyclesSkipped;
-    res.throughput.fastForwards = ks.fastForwards;
-    res.throughput.strideSkips = ks.strideSkips;
-    res.throughput.blockRuns = ks.blockRuns;
-    res.throughput.cyclesBlockExecuted = ks.cyclesBlockExecuted;
-    res.throughput.wallSeconds =
-        std::chrono::duration<double>(wallEnd - wallStart).count();
+    const std::chrono::duration<double> wall = wallEnd - wallStart;
+    res.throughput = {sim.kernelStats(), wall.count()};
     res.switchLatency = sim.recorder().latencyStats(true);
     res.episodeLatency = sim.recorder().latencyStats(false);
     res.coreStats = sim.coreStats();

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.hh"
 #include "common/stats.hh"
 #include "rtosunit/config.hh"
 #include "simulation.hh"
@@ -31,16 +32,30 @@ struct ActivityCounters
     std::uint64_t traps = 0;
 };
 
-/** Simulator throughput for one run (wall time is nondeterministic;
- *  everything else is exact). */
-struct RunThroughput
+/** ActivityCounters' table; the names are the explore cache's keys. */
+inline constexpr CounterRow<ActivityCounters> kActivityCountersTable[] = {
+    {"act_cycles", &ActivityCounters::cycles, true},
+    {"act_instret", &ActivityCounters::instret, true},
+    {"act_mem_ops", &ActivityCounters::memOps, true},
+    {"act_unit_words", &ActivityCounters::unitMemWords, true},
+    {"act_sort_phases", &ActivityCounters::sortPhases, true},
+    {"act_busy", &ActivityCounters::unitBusyCycles, true},
+    {"act_traps", &ActivityCounters::traps, true},
+};
+static_assert(coversEveryField(kActivityCountersTable),
+              "every ActivityCounters field needs exactly one "
+              "kActivityCountersTable row");
+
+constexpr std::span<const CounterRow<ActivityCounters>>
+counterRows(const ActivityCounters &)
 {
-    std::uint64_t cyclesTicked = 0;
-    std::uint64_t cyclesSkipped = 0;
-    std::uint64_t fastForwards = 0;
-    std::uint64_t strideSkips = 0;
-    std::uint64_t blockRuns = 0;
-    std::uint64_t cyclesBlockExecuted = 0;
+    return kActivityCountersTable;
+}
+
+/** Simulator throughput for one run: the kernel's exact counters plus
+ *  the (nondeterministic) wall time. */
+struct RunThroughput : SimKernelStats
+{
     double wallSeconds = 0.0;
 };
 

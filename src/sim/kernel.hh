@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/counters.hh"
 #include "common/types.hh"
 
 namespace rtu {
@@ -123,6 +124,27 @@ struct SimKernelStats
      *  skipped: ticked + skipped + blockExecuted is mode-invariant. */
     std::uint64_t cyclesBlockExecuted = 0;
 };
+
+/** SimKernelStats' counter table. Every row depends on the ExecMode
+ *  (only ticked + skipped + block-executed is invariant). */
+inline constexpr CounterRow<SimKernelStats> kSimKernelStatsTable[] = {
+    {"cycles_ticked", &SimKernelStats::cyclesTicked, false},
+    {"cycles_skipped", &SimKernelStats::cyclesSkipped, false},
+    {"fast_forwards", &SimKernelStats::fastForwards, false},
+    {"stride_skips", &SimKernelStats::strideSkips, false},
+    {"stride_cycles_skipped", &SimKernelStats::strideCyclesSkipped, false},
+    {"block_runs", &SimKernelStats::blockRuns, false},
+    {"cycles_block_executed", &SimKernelStats::cyclesBlockExecuted, false},
+};
+static_assert(coversEveryField(kSimKernelStatsTable),
+              "every SimKernelStats field needs exactly one "
+              "kSimKernelStatsTable row");
+
+constexpr std::span<const CounterRow<SimKernelStats>>
+counterRows(const SimKernelStats &)
+{
+    return kSimKernelStatsTable;
+}
 
 class SimKernel
 {

@@ -166,17 +166,9 @@ writeResultsJsonl(std::ostream &os,
            << ",\"ok\":" << (run.ok ? "true" : "false")
            << ",\"exit_code\":" << run.exitCode
            << ",\"status\":\"" << runStatusName(run.status)
-           << "\",\"cycles\":" << run.cycles
-           << ",\"cycles_ticked\":" << run.throughput.cyclesTicked
-           << ",\"cycles_skipped\":" << run.throughput.cyclesSkipped
-           << ",\"fetch_predecoded\":" << run.coreStats.fetchPredecoded
-           << ",\"fetch_slow_path\":" << run.coreStats.fetchSlowPath
-           << ",\"text_invalidations\":"
-           << run.coreStats.textInvalidations
-           << ",\"blocks_executed\":" << run.coreStats.blocksExecuted
-           << ",\"block_fallbacks\":" << run.coreStats.blockFallbacks
-           << ",\"block_invalidations\":"
-           << run.coreStats.blockInvalidations;
+           << "\",\"cycles\":" << run.cycles;
+        writeCounterFields(os, run.throughput);
+        writeCounterFields(os, run.coreStats);
         if (include_timing) {
             // Wall time is nondeterministic; callers wanting the
             // byte-stability contract keep it off (the default).

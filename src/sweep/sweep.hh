@@ -138,8 +138,11 @@ SweepResult runSweepPoint(const SweepPoint &point, bool capture_trace,
  * another generation instead of misparsing them.
  * v2: block-execution counters (blocks_executed, block_fallbacks,
  *     block_invalidations).
+ * v3: every SimKernelStats and CoreStats counter, written from their
+ *     tables (kSimKernelStatsTable, then kCoreStatsTable) right after
+ *     `cycles`; every v2 field keeps its name and value.
  */
-constexpr unsigned kSweepResultsSchema = 2;
+constexpr unsigned kSweepResultsSchema = 3;
 
 /** One schema-stamped header object: `{"schema":N,"bench":"<name>"}`.
  *  Written as the first line of every sweep bench's --out stream. */
@@ -147,7 +150,7 @@ void writeResultsHeaderJsonl(std::ostream &os, const char *bench);
 
 /**
  * Serialize one result line per point (JSONL, deterministic). The
- * run status and exact cycles-ticked/skipped counters are always
+ * run status and every exact kernel and core counter are always
  * emitted; @p include_timing adds the nondeterministic wall_ms/mips
  * fields (off by default so the stream stays byte-stable).
  */

@@ -218,19 +218,25 @@ TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
     std::ostringstream os;
     writeResultsJsonl(os, on);
     const std::string line = os.str();
-    const CoreStats &s = on[0].run.coreStats;
-    EXPECT_NE(line.find("\"blocks_executed\":" +
-                        std::to_string(s.blocksExecuted)),
-              std::string::npos)
-        << line;
-    EXPECT_NE(line.find("\"block_fallbacks\":" +
-                        std::to_string(s.blockFallbacks)),
-              std::string::npos)
-        << line;
-    EXPECT_NE(line.find("\"block_invalidations\":" +
-                        std::to_string(s.blockInvalidations)),
-              std::string::npos)
-        << line;
+    const auto occurrences = [&line](const std::string &needle) {
+        std::size_t n = 0;
+        for (std::size_t at = line.find(needle); at != std::string::npos;
+             at = line.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    // Every kernel and core counter appears exactly once, as
+    // `"name":value` followed by the next field.
+    const auto expectField = [&](const char *name, std::uint64_t value) {
+        const std::string key = std::string("\"") + name + "\":";
+        EXPECT_EQ(occurrences(key), 1u) << name << " in " << line;
+        EXPECT_EQ(occurrences(key + std::to_string(value) + ","), 1u)
+            << name << " in " << line;
+    };
+    for (const auto &row : kSimKernelStatsTable)
+        expectField(row.name, on[0].run.throughput.*row.member);
+    for (const auto &row : kCoreStatsTable)
+        expectField(row.name, on[0].run.coreStats.*row.member);
 }
 
 } // namespace

@@ -348,6 +348,11 @@ TEST_F(ExploreEngine, CacheRoundTripsNonFiniteSamplesAsNull)
                          std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(),
                          7.5};
+    // A distinct non-zero value per activity counter: each must come
+    // back from its own field.
+    std::uint64_t value = 11;
+    for (const auto &row : kActivityCountersTable)
+        run.activity.*row.member = value++;
     {
         ResultCache cache(dir_);
         cache.insert(point, run);
@@ -357,6 +362,9 @@ TEST_F(ExploreEngine, CacheRoundTripsNonFiniteSamplesAsNull)
     ASSERT_TRUE(reloaded.lookup(point, &back));
     EXPECT_TRUE(back.ok);
     EXPECT_EQ(back.cycles, 1234u);
+    for (const auto &row : kActivityCountersTable)
+        EXPECT_EQ(back.activity.*row.member, run.activity.*row.member)
+            << row.name;
     ASSERT_EQ(back.switchSamples.size(), 4u);
     EXPECT_DOUBLE_EQ(back.switchSamples[0], 42.0);
     EXPECT_TRUE(std::isnan(back.switchSamples[1]));
@@ -369,6 +377,18 @@ TEST_F(ExploreEngine, CacheRoundTripsNonFiniteSamplesAsNull)
     EXPECT_EQ(text.find("inf"), std::string::npos);
     EXPECT_EQ(text.find("nan"), std::string::npos);
     EXPECT_NE(text.find("null"), std::string::npos);
+    // The entry line keeps the schema-1 layout byte for byte, so cache
+    // files written before the counter table still load.
+    EXPECT_NE(
+        text.find("\n{\"v\":1,\"key\":\"CV32E40P/vanilla/slots8/"
+                  "mutex_workload/it5/tp1000/cq8\",\"ok\":true,"
+                  "\"exit_code\":0,\"cycles\":1234,\"act_cycles\":11,"
+                  "\"act_instret\":12,\"act_mem_ops\":13,"
+                  "\"act_unit_words\":14,\"act_sort_phases\":15,"
+                  "\"act_busy\":16,\"act_traps\":17,"
+                  "\"lat\":[42,null,null,7.5]}\n"),
+        std::string::npos)
+        << text;
 }
 
 TEST_F(ExploreEngine, AnalyticPrefilterSkipsBeforeSimulating)
