@@ -7,7 +7,8 @@ namespace rtu {
 Word
 Clint::read(Addr addr, MemSize size)
 {
-    rtu_assert(size == MemSize::kWord, "CLINT requires word access");
+    if (size != MemSize::kWord)
+        guest_fault("CLINT read at 0x%08x requires word access", addr);
     switch (addr) {
       case memmap::kClintMsip:
         return msip_;
@@ -20,14 +21,15 @@ Clint::read(Addr addr, MemSize size)
       case memmap::kClintMtimeHi:
         return static_cast<Word>(mtime_ >> 32);
       default:
-        panic("CLINT read at unsupported offset 0x%08x", addr);
+        guest_fault("CLINT read at unsupported offset 0x%08x", addr);
     }
 }
 
 void
 Clint::write(Addr addr, Word value, MemSize size)
 {
-    rtu_assert(size == MemSize::kWord, "CLINT requires word access");
+    if (size != MemSize::kWord)
+        guest_fault("CLINT write at 0x%08x requires word access", addr);
     switch (addr) {
       case memmap::kClintMsip:
         msip_ = value & 1;
@@ -40,7 +42,7 @@ Clint::write(Addr addr, Word value, MemSize size)
                     (static_cast<DWord>(value) << 32);
         break;
       default:
-        panic("CLINT write at unsupported offset 0x%08x", addr);
+        guest_fault("CLINT write at unsupported offset 0x%08x", addr);
     }
     updateLevels(now_);
 }

@@ -1,6 +1,6 @@
 /** Harness tests: workload registry, experiment driver, cross-core
- *  runs, activity counters, latency merging, and guest operands that
- *  must end a run instead of aborting the host. */
+ *  runs, activity counters, latency merging, and guest operands and
+ *  device accesses that must end a run instead of aborting the host. */
 
 #include <gtest/gtest.h>
 
@@ -149,34 +149,46 @@ TEST(Simulation, SwitchRecordsCarryValidTaskIds)
     }
 }
 
-/** Issue one RTOSUnit custom instruction whose id operand (t0) is far
- *  out of range — what a bit flip in a TCB hands the unit. */
+/** A one-shot guest: t0 = @p t0, then @p emit's instructions, then a
+ *  self-loop. */
 Program
-badOperandProgram(void (*emit)(Assembler &))
+guestProgram(SWord t0, void (*emit)(Assembler &))
 {
     Assembler a(memmap::kImemBase, memmap::kDmemBase);
     a.dataWord("currentTaskId", 0);
-    a.li(T0, 0x20'0001);
+    a.li(T0, t0);
     emit(a);
     a.label("end");
     a.j("end");
     return a.finish();
 }
 
+/** Run @p program to its end: a guest fault whose diagnostic names
+ *  @p what, never a host abort. */
 void
-expectGuestFault(void (*emit)(Assembler &), const char *op)
+expectFaultingRun(const Program &program, const RtosUnitConfig &unit,
+                  const char *what)
 {
-    const Program program = badOperandProgram(emit);
     SimConfig sc;
     sc.core = CoreKind::kCv32e40p;
-    sc.unit = RtosUnitConfig::fromName("SLT");
-    sc.unit.hwsync = true;
+    sc.unit = unit;
     sc.maxCycles = 1000;
     Simulation sim(sc, program);
     EXPECT_FALSE(sim.run());
-    EXPECT_EQ(sim.status(), RunStatus::kGuestFault) << op;
-    EXPECT_NE(sim.statusDiagnostic().find(op), std::string::npos)
+    EXPECT_EQ(sim.status(), RunStatus::kGuestFault) << what;
+    EXPECT_NE(sim.statusDiagnostic().find(what), std::string::npos)
         << sim.statusDiagnostic();
+}
+
+/** Issue one RTOSUnit custom instruction whose id operand (t0) is far
+ *  out of range — what a bit flip in a TCB hands the unit. */
+void
+expectGuestFault(void (*emit)(Assembler &), const char *op)
+{
+    RtosUnitConfig unit = RtosUnitConfig::fromName("SLT");
+    unit.hwsync = true;
+    const Program program = guestProgram(0x20'0001, emit);
+    expectFaultingRun(program, unit, op);
 }
 
 TEST(GuestOperand, SetContextIdOutOfRangeIsAGuestFault)
@@ -201,6 +213,71 @@ TEST(GuestOperand, SemGiveOutOfRangeIsAGuestFault)
 {
     expectGuestFault([](Assembler &a) { a.rtuSemGive(T1, T0); },
                      "SEM_GIVE");
+}
+
+/** One load or store (through t0 = @p addr) that the device at
+ *  @p addr does not implement: a wrong access size or an unmapped
+ *  register offset inside the device window. */
+void
+expectMmioFault(Addr addr, void (*emit)(Assembler &), const char *what)
+{
+    const Program program = guestProgram(static_cast<SWord>(addr), emit);
+    expectFaultingRun(program, RtosUnitConfig::vanilla(), what);
+}
+
+TEST(GuestMmio, ByteAccessToClintIsAGuestFault)
+{
+    expectMmioFault(memmap::kClintMtime,
+                    [](Assembler &a) { a.lb(T1, 0, T0); },
+                    "CLINT read at 0x0200bff8 requires word access");
+    expectMmioFault(memmap::kClintMtimecmp,
+                    [](Assembler &a) { a.sb(T1, 0, T0); },
+                    "CLINT write at 0x02004000 requires word access");
+}
+
+TEST(GuestMmio, ClintUnsupportedOffsetIsAGuestFault)
+{
+    expectMmioFault(memmap::kClintBase + 0x100,
+                    [](Assembler &a) { a.lw(T1, 0, T0); },
+                    "CLINT read at unsupported offset 0x02000100");
+    expectMmioFault(memmap::kClintBase + 0x100,
+                    [](Assembler &a) { a.sw(T1, 0, T0); },
+                    "CLINT write at unsupported offset 0x02000100");
+}
+
+TEST(GuestMmio, ByteAccessToHostIoIsAGuestFault)
+{
+    expectMmioFault(memmap::kHostCycleLo,
+                    [](Assembler &a) { a.lb(T1, 0, T0); },
+                    "host I/O read at 0x11000010 requires word access");
+    expectMmioFault(memmap::kHostExit,
+                    [](Assembler &a) { a.sb(T1, 0, T0); },
+                    "host I/O write at 0x11000004 requires word access");
+
+    // Byte writes to the console register stay legal.
+    const Program program = guestProgram(
+        static_cast<SWord>(memmap::kHostPutchar), [](Assembler &a) {
+            a.li(T1, 'x');
+            a.sb(T1, 0, T0);
+            a.sw(Zero, memmap::kHostExit - memmap::kHostPutchar, T0);
+        });
+    SimConfig sc;
+    sc.core = CoreKind::kCv32e40p;
+    sc.unit = RtosUnitConfig::vanilla();
+    sc.maxCycles = 1000;
+    Simulation sim(sc, program);
+    EXPECT_TRUE(sim.run());
+    EXPECT_EQ(sim.hostIo().consoleOutput(), "x");
+}
+
+TEST(GuestMmio, HostIoUnsupportedOffsetIsAGuestFault)
+{
+    expectMmioFault(memmap::kHostBase + 0x40,
+                    [](Assembler &a) { a.lw(T1, 0, T0); },
+                    "host I/O read at unsupported offset 0x11000040");
+    expectMmioFault(memmap::kHostBase + 0x40,
+                    [](Assembler &a) { a.sw(T1, 0, T0); },
+                    "host I/O write at unsupported offset 0x11000040");
 }
 
 } // namespace
