@@ -18,15 +18,13 @@
 
 #include <array>
 #include <climits>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "linter.hh"
+#include "walk.hh"
 
 namespace rtu {
 
@@ -64,139 +62,31 @@ struct AbiState
     std::uint16_t clobbered = 0;
     std::uint16_t saved = 0;
     std::array<int, kNumTracked> slot{};
-    int spDelta = 0;
-    bool spKnown = true;
+    SpState sp;
 
-    std::string
-    key() const
-    {
-        std::string k;
-        k.reserve(8 + 4 * kNumTracked);
-        auto put = [&k](std::uint32_t v) {
-            for (unsigned i = 0; i < 4; ++i)
-                k.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-        };
-        put((std::uint32_t{clobbered} << 16) | saved);
-        put(static_cast<std::uint32_t>(spDelta));
-        k.push_back(spKnown ? 1 : 0);
-        for (int s : slot)
-            put(static_cast<std::uint32_t>(s));
-        return k;
-    }
+    auto operator<=>(const AbiState &) const = default;
 };
 
-class AbiWalker
+/** Calls are balanced and s-preserving but clobber ra. */
+class AbiPolicy : public WalkPolicy<AbiState>
 {
   public:
-    AbiWalker(const Cfg &cfg, const LintOptions &options,
-              std::vector<Diagnostic> &out)
-        : cfg_(cfg), options_(options), out_(out)
-    {
-    }
+    explicit AbiPolicy(PathWalker<AbiState> &walker) : walker_(walker) {}
 
     void
-    runFunction(const std::string &name, Addr begin, Addr end)
+    step(Addr pc, const DecodedInsn &d, AbiState &st)
     {
-        fnName_ = name;
-        fnBegin_ = begin;
-        fnEnd_ = end;
-        visited_.clear();
-        work_.clear();
-        work_.emplace_back(begin, AbiState{});
-        while (!work_.empty()) {
-            auto [pc, state] = std::move(work_.back());
-            work_.pop_back();
-            walk(pc, std::move(state));
-        }
-    }
+        // Slots are only comparable while sp is entry-relative.
+        const bool spKnown = st.sp.mode == SpState::kEntryRel;
 
-  private:
-    bool
-    inFunction(Addr pc) const
-    {
-        return pc >= fnBegin_ && pc < fnEnd_ && cfg_.contains(pc);
-    }
-
-    void
-    report(const std::string &code, Addr pc, const std::string &message)
-    {
-        if (!reported_.insert(code + "@" + std::to_string(pc)).second)
-            return;
-        Diagnostic d;
-        d.severity = Severity::kError;
-        d.code = code;
-        d.pc = pc;
-        d.hasPc = true;
-        d.function = fnName_;
-        d.insn = disassemble(cfg_.insnAt(pc).raw);
-        d.message = message;
-        out_.push_back(std::move(d));
-    }
-
-    bool
-    enter(Addr pc, const AbiState &state)
-    {
-        if (cfg_.blocks().count(pc) == 0)
-            return true;
-        if (statesSeen_ >= options_.stateBudget)
-            return false;
-        if (!visited_[pc].insert(state.key()).second)
-            return false;
-        ++statesSeen_;
-        return true;
-    }
-
-    void
-    walk(Addr pc, AbiState st)
-    {
-        while (inFunction(pc)) {
-            if (!enter(pc, st))
-                return;
-            const DecodedInsn &d = cfg_.insnAt(pc);
-
-            switch (d.op) {
-              case Op::kJal:
-                if (d.rd == RA) {
-                    st.clobbered |= 1u << kRaIndex;
-                    pc += 4;  // callee assumed balanced + s-preserving
-                    continue;
-                }
-                pc += static_cast<Word>(d.imm);
-                continue;  // loop check via inFunction()
-              case Op::kJalr:
-                if (d.rd == Zero && d.rs1 == RA && d.imm == 0)
-                    checkAtReturn(pc, st);
-                return;
-              case Op::kMret:
-              case Op::kInvalid:
-                return;
-              default:
-                break;
-            }
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                const Addr taken = pc + static_cast<Word>(d.imm);
-                if (inFunction(taken))
-                    work_.emplace_back(taken, st);
-                pc += 4;
-                continue;
-            }
-
-            step(d, st);
-            pc += 4;
-        }
-    }
-
-    void
-    step(const DecodedInsn &d, AbiState &st)
-    {
         // Spill to a stack slot.
         if (d.op == Op::kSw && d.rs1 == SP) {
             const int idx = csIndexOf(d.rs2);
             if (idx >= 0) {
                 st.saved |= 1u << idx;
-                st.slot[idx] =
-                    st.spKnown ? st.spDelta + d.imm : kWildSlot;
+                st.slot[idx] = spKnown
+                                   ? static_cast<int>(st.sp.value) + d.imm
+                                   : kWildSlot;
             }
         }
 
@@ -206,26 +96,19 @@ class AbiWalker
             if (idx >= 0) {
                 const bool slotMatches =
                     (st.saved & (1u << idx)) != 0 &&
-                    (st.slot[idx] == kWildSlot || !st.spKnown ||
-                     st.slot[idx] == st.spDelta + d.imm);
+                    (st.slot[idx] == kWildSlot || !spKnown ||
+                     st.slot[idx] == st.sp.value + d.imm);
                 if (d.op == Op::kLw && d.rs1 == SP && slotMatches)
                     st.clobbered &= ~(1u << idx);
                 else
                     st.clobbered |= 1u << idx;
             }
-            if (d.rd == SP) {
-                if (d.op == Op::kAddi && d.rs1 == SP) {
-                    if (st.spKnown)
-                        st.spDelta += d.imm;
-                } else {
-                    st.spKnown = false;
-                }
-            }
         }
+        st.sp.apply(pc, d);
     }
 
-    void
-    checkAtReturn(Addr pc, const AbiState &st)
+    std::optional<Addr>
+    ret(Addr pc, AbiState &st)
     {
         std::string bad;
         for (int i = 0; i < kRaIndex; ++i) {
@@ -236,28 +119,22 @@ class AbiWalker
             }
         }
         if (!bad.empty()) {
-            report("abi-callee-saved", pc,
-                   csprintf("callee-saved registers clobbered and not "
-                            "restored on a path reaching ret: %s",
-                            bad.c_str()));
+            walker_.report(Severity::kError, "abi-callee-saved", pc,
+                           csprintf("callee-saved registers clobbered "
+                                    "and not restored on a path "
+                                    "reaching ret: %s", bad.c_str()));
         }
         if (st.clobbered & (1u << kRaIndex)) {
-            report("abi-ra-clobbered", pc,
-                   "ra overwritten (by a call or plain write) and not "
-                   "restored before ret: returns to the wrong address");
+            walker_.report(Severity::kError, "abi-ra-clobbered", pc,
+                           "ra overwritten (by a call or plain write) "
+                           "and not restored before ret: returns to "
+                           "the wrong address");
         }
+        return std::nullopt;
     }
 
-    const Cfg &cfg_;
-    const LintOptions &options_;
-    std::vector<Diagnostic> &out_;
-    std::string fnName_;
-    Addr fnBegin_ = 0;
-    Addr fnEnd_ = 0;
-    std::vector<std::pair<Addr, AbiState>> work_;
-    std::unordered_map<Addr, std::unordered_set<std::string>> visited_;
-    std::unordered_set<std::string> reported_;
-    unsigned statesSeen_ = 0;
+  private:
+    PathWalker<AbiState> &walker_;
 };
 
 } // namespace
@@ -266,10 +143,12 @@ void
 checkCalleeSaved(const Cfg &cfg, const LintOptions &options,
                  std::vector<Diagnostic> &out)
 {
-    AbiWalker walker(cfg, options, out);
+    PathWalker<AbiState> walker(cfg, "callee-saved", options.stateBudget,
+                                out);
+    AbiPolicy policy(walker);
     for (const auto &[name, range] : cfg.program().functions) {
         if (range.second > range.first && cfg.contains(range.first))
-            walker.runFunction(name, range.first, range.second);
+            walker.walk(policy, range.first, {}, range.first, range.second);
     }
 }
 

@@ -18,6 +18,17 @@ constexpr unsigned kSpReg = 2;
 constexpr unsigned kRaReg = 1;
 constexpr unsigned kA0Reg = 10;
 
+/** Outer (memory / entry-state) fixpoint round cap. */
+constexpr unsigned kMaxOuterRounds = 24;
+/** Round at which memory/entry joins switch to widening. */
+constexpr unsigned kWidenRound = 4;
+/** Loop-head visits before register widening kicks in. */
+constexpr unsigned kWideningDelay = 2;
+/** Descending (narrowing) sweeps after the widened fixpoint. */
+constexpr unsigned kNarrowSweeps = 2;
+/** Block-transfer budget per function fixpoint (safety valve). */
+constexpr unsigned kBlockVisitBudget = 20'000;
+
 
 /** Exact predicate on two concrete words. */
 bool
@@ -123,9 +134,8 @@ absDecide(Op op, const AbsVal &a, const AbsVal &b)
 
 // ---- engine ----------------------------------------------------------------
 
-AbsintEngine::AbsintEngine(const Program &program,
-                           const AbsintOptions &options)
-    : program_(program), options_(options), cfg_(program)
+AbsintEngine::AbsintEngine(const Program &program)
+    : program_(program), cfg_(program)
 {
     dataBase_ = program.dataBase;
     dataEnd_ = program.dataBase +
@@ -338,7 +348,7 @@ AbsintEngine::joinCell(Addr cell, const AbsVal &val)
     }
     const AbsVal cur = cellValue(cell);
     AbsVal next = AbsVal::join(cur, v);
-    if (round_ >= options_.widenRound)
+    if (round_ >= kWidenRound)
         next = AbsVal::widen(cur, next);
     if (!(next == cur)) {
         cells_[cell] = next;
@@ -590,7 +600,7 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
       case Op::kAddReady: {
         const AbsVal next = AbsVal::join(hwListIds_, value(st, d.rs1));
         if (!(next == hwListIds_)) {
-            hwListIds_ = round_ >= options_.widenRound
+            hwListIds_ = round_ >= kWidenRound
                              ? AbsVal::widen(hwListIds_, next)
                              : next;
             changed_ = true;
@@ -625,7 +635,7 @@ AbsintEngine::recordCallEntry(Addr target, const RegState &st)
         return;  // call into a region interior: no model
     auto &cur = entryStates_[target];
     RegState next = RegState::join(cur, st);
-    if (round_ >= options_.widenRound)
+    if (round_ >= kWidenRound)
         next = RegState::widen(cur, next);
     if (!(next == cur)) {
         cur = next;
@@ -784,7 +794,7 @@ AbsintEngine::analyzeRegion(const Region &region, bool record)
             AbsVal &rv = ins.first->second;
             const AbsVal next = AbsVal::join(rv, value(st, kA0Reg));
             if (!(next == rv)) {
-                rv = round_ >= options_.widenRound
+                rv = round_ >= kWidenRound
                          ? AbsVal::widen(rv, next)
                          : next;
                 changed_ = true;
@@ -801,7 +811,7 @@ AbsintEngine::analyzeRegion(const Region &region, bool record)
     // Phase 1: ascending worklist iteration with widening at heads.
     std::deque<Addr> work{region.begin};
     std::set<Addr> queued{region.begin};
-    unsigned budget = options_.blockVisitBudget;
+    unsigned budget = kBlockVisitBudget;
     while (!work.empty()) {
         if (budget-- == 0) {
             converged_ = false;
@@ -819,7 +829,7 @@ AbsintEngine::analyzeRegion(const Region &region, bool record)
                 prevIt != in.end() ? prevIt->second : RegState{};
             RegState next = RegState::join(prev, os);
             if (heads.count(succ) &&
-                ++visits[succ] > options_.wideningDelay)
+                ++visits[succ] > kWideningDelay)
                 next = RegState::widen(prev, next);
             if (!(next == prev)) {
                 in[succ] = next;
@@ -831,7 +841,7 @@ AbsintEngine::analyzeRegion(const Region &region, bool record)
 
     // Phase 2: bounded descending sweeps (narrowing) recomputing each
     // reachable block's entry from its predecessor edges.
-    for (unsigned sweep = 0; sweep < options_.narrowSweeps; ++sweep) {
+    for (unsigned sweep = 0; sweep < kNarrowSweeps; ++sweep) {
         for (Addr leader : leaders) {
             RegState newIn =
                 leader == region.begin ? entry : RegState{};
@@ -872,7 +882,7 @@ AbsintEngine::run()
             entryStates_[r.begin] = rootEntry();
 
     unsigned round = 0;
-    for (; round < options_.maxOuterRounds; ++round) {
+    for (; round < kMaxOuterRounds; ++round) {
         round_ = round;
         changed_ = false;
         for (const Region &r : regions_)
@@ -881,7 +891,7 @@ AbsintEngine::run()
         if (!changed_)
             break;
     }
-    if (round == options_.maxOuterRounds)
+    if (round == kMaxOuterRounds)
         converged_ = false;
 
     // Final recording pass over the converged global state. Branch

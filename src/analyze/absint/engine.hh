@@ -72,20 +72,6 @@
 
 namespace rtu {
 
-struct AbsintOptions
-{
-    /** Outer (memory / entry-state) fixpoint round cap. */
-    unsigned maxOuterRounds = 24;
-    /** Round at which memory/entry joins switch to widening. */
-    unsigned widenRound = 4;
-    /** Loop-head visits before register widening kicks in. */
-    unsigned wideningDelay = 2;
-    /** Descending (narrowing) sweeps after the widened fixpoint. */
-    unsigned narrowSweeps = 2;
-    /** Block-transfer budget per function fixpoint (safety valve). */
-    unsigned blockVisitBudget = 20'000;
-};
-
 /** Register-file state: x0..x31 plus mscratch (the only CSR the
  *  generated kernels use to carry a value). */
 struct RegState
@@ -115,15 +101,13 @@ std::optional<bool> absDecide(Op op, const AbsVal &a, const AbsVal &b);
 class AbsintEngine
 {
   public:
-    explicit AbsintEngine(const Program &program,
-                          const AbsintOptions &options = {});
+    explicit AbsintEngine(const Program &program);
 
     /** Run to fixpoint. Call once; queries below are valid after. */
     void run();
 
     const Cfg &cfg() const { return cfg_; }
     const Program &program() const { return program_; }
-    const AbsintOptions &options() const { return options_; }
 
     /** False when a budget/round cap was hit; derived facts are then
      *  discarded by the clients (conservative, never wrong). */
@@ -195,7 +179,6 @@ class AbsintEngine
     const Region *regionContaining(Addr pc) const;
 
     const Program &program_;
-    AbsintOptions options_;
     Cfg cfg_;
 
     Addr dataBase_ = 0;

@@ -54,6 +54,10 @@ namespace {
 
 using I64 = std::int64_t;
 
+/** Bounds above this are discarded as useless for WCET budgeting (and
+ *  would make the longest-path search explode). */
+constexpr I64 kMaxUsefulBound = I64{1} << 20;
+
 constexpr unsigned kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13,
                                      14, 15, 16, 17, 28, 29, 30, 31};
 
@@ -170,7 +174,7 @@ class BoundInferrer
             inferred = inferOne(loop);
         }
         if (inferred && *inferred >= 0 &&
-            *inferred <= static_cast<I64>(options_.maxUsefulBound)) {
+            *inferred <= kMaxUsefulBound) {
             out_.inferred[backPc] = static_cast<unsigned>(*inferred);
         } else {
             inferred.reset();

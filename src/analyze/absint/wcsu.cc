@@ -1,24 +1,112 @@
 /**
  * @file
- * Worst-case stack usage: call-graph-composed symbolic sp tracking.
+ * The stack-pointer walk: pass 3's findings and call-graph-composed
+ * worst-case stack usage.
  */
 
 #include <algorithm>
-#include <tuple>
+#include <optional>
+#include <utility>
 
 #include "analyze/absint/wcsu.hh"
+#include "analyze/linter.hh"
 #include "common/logging.hh"
 
 namespace rtu {
 
-namespace {
+/** One function's walk: its worst entry-relative depth, and pass 3's
+ *  checks along the way. */
+class WcsuAnalyzer::SpWalk : public WalkPolicy<SpState>
+{
+  public:
+    explicit SpWalk(WcsuAnalyzer &owner) : a_(owner) {}
 
-constexpr unsigned kSpReg = 2;
+    unsigned depth = 0;
 
-} // namespace
+    void
+    arrive(Addr leader, const SpState &st)
+    {
+        // Two values in the same mode disagree outright. Mixed modes
+        // are incomparable statically, and unknown carries no
+        // obligation (context-restore paths load the next task's sp
+        // legitimately and end in mret, which pass 1 owns).
+        if (st.mode == SpState::kUnknown)
+            return;
+        const auto [it, fresh] =
+            firstSeen_.try_emplace({leader, st.mode}, st.value);
+        if (!fresh && it->second != st.value) {
+            report("stack-imbalance", leader,
+                   csprintf("block entered with conflicting sp values "
+                            "(%s vs %s): paths disagree on the frame "
+                            "size",
+                            SpState{st.mode, it->second}.describe().c_str(),
+                            st.describe().c_str()));
+        }
+    }
 
-WcsuAnalyzer::WcsuAnalyzer(const Cfg &cfg, const WcsuOptions &options)
-    : cfg_(cfg), program_(cfg.program()), options_(options)
+    void
+    step(Addr pc, const DecodedInsn &d, SpState &st)
+    {
+        const InsnClass cls = classOf(d.op);
+        if ((cls == InsnClass::kLoad || cls == InsnClass::kStore) &&
+            d.rs1 == SP && d.imm < 0) {
+            report("stack-below-sp", pc,
+                   csprintf("memory access at %d below sp: the region "
+                            "below the stack pointer is dead and "
+                            "interrupts may overwrite it", d.imm));
+        }
+        if (st.apply(pc, d))
+            a_.touch(st, 0, depth);
+    }
+
+    std::optional<Addr>
+    call(const BasicBlock &bb, SpState &st)
+    {
+        // Charge the callee below the current sp, then continue
+        // balanced (the callee's own walk checks its sp).
+        a_.touch(st, a_.depthOf(bb.takenTarget), depth);
+        return bb.end;
+    }
+
+    void
+    leave(Addr target, const SpState &st)
+    {
+        // Tail jump out of the function: charge the target like a call.
+        if (a_.cfg_.contains(target))
+            a_.touch(st, a_.depthOf(target), depth);
+    }
+
+    std::optional<Addr>
+    ret(Addr pc, SpState &st)
+    {
+        if (st.mode == SpState::kEntryRel && st.value != 0) {
+            report("stack-ret-imbalance", pc,
+                   csprintf("ret with sp offset %d from the entry "
+                            "value: frame not fully popped",
+                            static_cast<int>(st.value)));
+        } else if (st.mode == SpState::kAbsolute) {
+            report("stack-ret-imbalance", pc,
+                   csprintf("ret with sp rebased to %s: the caller's "
+                            "frame is abandoned", st.describe().c_str()));
+        }
+        return std::nullopt;
+    }
+
+  private:
+    void
+    report(const char *code, Addr pc, const std::string &message)
+    {
+        a_.walker_.report(Severity::kError, code, pc, message);
+    }
+
+    WcsuAnalyzer &a_;
+    /** First sp value per (leader, mode) on this walk. */
+    std::map<std::pair<Addr, SpState::Mode>, std::int64_t> firstSeen_;
+};
+
+WcsuAnalyzer::WcsuAnalyzer(const Cfg &cfg, unsigned state_budget)
+    : cfg_(cfg), program_(cfg.program()),
+      walker_(cfg, "stack-pointer", state_budget, diags_)
 {
     for (const auto &[name, addr] : program_.symbols) {
         const bool task_stack =
@@ -47,8 +135,8 @@ WcsuAnalyzer::entryDepth(const std::string &fn) const
     auto it = program_.functions.find(fn);
     if (it == program_.functions.end())
         return 0;
-    auto sit = summaries_.find(it->second.first);
-    return sit != summaries_.end() ? sit->second.depth : 0;
+    auto dit = depths_.find(it->second.first);
+    return dit != depths_.end() ? dit->second : 0;
 }
 
 unsigned
@@ -60,40 +148,31 @@ WcsuAnalyzer::isrAddOn() const
 unsigned
 WcsuAnalyzer::depthOf(Addr entry)
 {
-    auto it = summaries_.find(entry);
-    if (it != summaries_.end() && it->second.done)
-        return it->second.depth;
+    const auto it = depths_.find(entry);
+    if (it != depths_.end())
+        return it->second;
     if (!inProgress_.insert(entry).second) {
-        // Recursion: the depth is unbounded. Report once per cycle
-        // entry and continue with 0 so the rest of the program still
-        // gets analyzed (the error already fails the gate).
-        Diagnostic d;
-        d.severity = Severity::kError;
-        d.code = "wcsu-recursion";
-        d.pc = entry;
-        d.hasPc = true;
-        d.function = program_.functionAt(entry);
-        d.message = "recursive call cycle: worst-case stack usage "
-                    "is unbounded";
-        diags_.push_back(std::move(d));
+        // Recursion: the depth is unbounded. Report it and continue
+        // with 0 so the rest of the program still gets analyzed (the
+        // error already fails the gate).
+        walker_.report(Severity::kError, "wcsu-recursion", entry,
+                       "recursive call cycle: worst-case stack usage "
+                       "is unbounded");
         return 0;
     }
 
-    Addr begin = entry;
-    Addr end = 0;
-    const std::string name = program_.functionAt(entry);
-    auto fit = program_.functions.find(name);
-    if (fit != program_.functions.end()) {
+    Addr end = entry;
+    const auto fit = program_.functions.find(program_.functionAt(entry));
+    if (fit != program_.functions.end())
         end = fit->second.second;
-    } else {
-        const BasicBlock *bb = cfg_.blockContaining(entry);
-        end = bb ? bb->end : entry;
-    }
+    else if (const BasicBlock *bb = cfg_.blockContaining(entry))
+        end = bb->end;
 
-    const unsigned depth = walkFunction(entry, begin, end);
+    SpWalk walk(*this);
+    walker_.walk(walk, entry, SpState{}, entry, end);
     inProgress_.erase(entry);
-    summaries_[entry] = {depth, true};
-    return depth;
+    depths_[entry] = walk.depth;
+    return walk.depth;
 }
 
 void
@@ -131,114 +210,14 @@ WcsuAnalyzer::touch(const SpState &st, std::int64_t extra,
     }
 }
 
-unsigned
-WcsuAnalyzer::walkFunction(Addr entry, Addr begin, Addr end)
-{
-    unsigned depth = 0;
-    std::set<std::tuple<Addr, int, std::int64_t>> visited;
-    std::vector<std::pair<Addr, SpState>> work;
-    work.emplace_back(entry, SpState{});
-
-    auto inRange = [&](Addr pc) {
-        return pc >= begin && pc < end && cfg_.contains(pc);
-    };
-
-    while (!work.empty()) {
-        auto [pc, st] = work.back();
-        work.pop_back();
-        while (inRange(pc)) {
-            if (statesSeen_ >= options_.stateBudget) {
-                converged_ = false;
-                return depth;
-            }
-            if (!visited.insert({pc, st.mode, st.value}).second)
-                break;
-            ++statesSeen_;
-
-            const DecodedInsn &d = cfg_.insnAt(pc);
-            switch (d.op) {
-              case Op::kJal:
-                if (d.rd == 1) {
-                    // Call: charge the callee below the current sp,
-                    // then continue balanced (pass 2 verifies the
-                    // callee preserves sp).
-                    touch(st, depthOf(pc + static_cast<Word>(d.imm)),
-                          depth);
-                    pc += 4;
-                    continue;
-                }
-                {
-                    const Addr target = pc + static_cast<Word>(d.imm);
-                    if (inRange(target)) {
-                        pc = target;
-                        continue;
-                    }
-                    // Tail jump out of the function: charge the
-                    // target like a call and stop this path.
-                    if (cfg_.contains(target))
-                        touch(st, depthOf(target), depth);
-                    break;
-                }
-              case Op::kJalr:
-              case Op::kMret:
-              case Op::kInvalid:
-                pc = end;  // path ends
-                continue;
-              case Op::kSwitchRf:
-                // Hardware register-file swap: sp now belongs to the
-                // other context.
-                st = SpState{SpState::kUnknown, 0};
-                pc += 4;
-                continue;
-              default:
-                break;
-            }
-            if (!inRange(pc))
-                break;
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                const Addr taken = pc + static_cast<Word>(d.imm);
-                if (inRange(taken))
-                    work.emplace_back(taken, st);
-                pc += 4;
-                continue;
-            }
-
-            if (writesRd(d.op) && d.rd == kSpReg) {
-                if (d.op == Op::kAddi && d.rs1 == kSpReg) {
-                    st.value += d.imm;
-                } else if (d.op == Op::kLui) {
-                    st = SpState{SpState::kAbsolute,
-                                 static_cast<std::int64_t>(
-                                     static_cast<std::int32_t>(
-                                         static_cast<Word>(d.imm)
-                                         << 12))};
-                } else if (d.op == Op::kAuipc) {
-                    st = SpState{SpState::kAbsolute,
-                                 static_cast<std::int64_t>(
-                                     static_cast<std::int32_t>(
-                                         pc + (static_cast<Word>(d.imm)
-                                               << 12)))};
-                } else {
-                    // Frame switch (`lw sp, ...`) or computed rebase.
-                    st = SpState{SpState::kUnknown, 0};
-                }
-                touch(st, 0, depth);
-            }
-            pc += 4;
-        }
-    }
-    return depth;
-}
-
 void
 WcsuAnalyzer::checkOverflow(std::vector<Diagnostic> &out) const
 {
-    if (!converged_) {
+    if (!converged()) {
         Diagnostic d;
         d.severity = Severity::kWarning;
-        d.code = "wcsu-unanalyzable";
-        d.message = "stack-usage walk exhausted its state budget; "
+        d.code = "lint-budget-exceeded";
+        d.message = "stack-pointer walk exceeded the state budget; "
                     "overflow checking skipped";
         out.push_back(std::move(d));
         return;
@@ -294,6 +273,15 @@ WcsuAnalyzer::checkOverflow(std::vector<Diagnostic> &out) const
             r.name.c_str());
         out.push_back(std::move(d));
     }
+}
+
+void
+checkStackDiscipline(const Cfg &cfg, const LintOptions &options,
+                     std::vector<Diagnostic> &out)
+{
+    WcsuAnalyzer walk(cfg, options.stateBudget);
+    walk.run();
+    out.insert(out.end(), walk.diags().begin(), walk.diags().end());
 }
 
 } // namespace rtu

@@ -1,26 +1,34 @@
 /**
  * @file
- * Whole-program worst-case stack usage (WCSU).
+ * The stack-pointer walk: lint pass 3 (stack discipline) and
+ * whole-program worst-case stack usage (WCSU) in one.
  *
- * Composes per-function stack depths over the call graph: each
- * function's walk tracks the stack pointer symbolically (entry-
- * relative delta, absolute after an `la sp, <region>_top` rebase, or
- * unknown after a frame switch) and charges callee depths at every
- * call site. The result is, per task entry function, the worst number
- * of bytes ever live below its entry stack pointer -- including the
- * ISR add-on (the trap handler's own entry-relative depth, which
- * lands on whatever stack the interrupted task was running on) -- and
- * per stack region, the worst absolute usage reached through rebases
- * (the ISR stack under the store-to-context configurations, plus
- * boot).
+ * One walk per function entry tracks sp as an SpState (analyze/
+ * walk.hh: entry-relative delta, absolute after an `la sp,
+ * <region>_top` rebase, unknown after a frame switch or SWITCH_RF)
+ * along every path and charges callee depths at every call site and
+ * tail jump. The walks yield:
+ *
+ *  - pass 3's findings: joining paths must agree on sp
+ *    ("stack-imbalance"), `ret` must see the entry sp
+ *    ("stack-ret-imbalance"; returning with a rebased sp abandons the
+ *    caller's frame), no load or store below sp ("stack-below-sp":
+ *    an interrupt may clobber that region at any instruction), and
+ *    recursion, which makes depths unbounded ("wcsu-recursion");
+ *  - per task entry function, the worst number of bytes ever live
+ *    below its entry stack pointer -- including the ISR add-on (the
+ *    trap handler's own entry-relative depth, which lands on whatever
+ *    stack the interrupted task was running on);
+ *  - per stack region, the worst absolute usage reached through
+ *    rebases (the ISR stack under the store-to-context
+ *    configurations, plus boot).
  *
  * Consumers:
- *  - the linter compares usage against the generated region
+ *  - checkStackDiscipline (pass 3) reports diags();
+ *  - the linter's pass 5 compares usage against the generated region
  *    capacities ("stack-overflow-risk");
  *  - the kernel generator sizes task stacks from these bounds when
- *    KernelParams::useDerivedStackSize is set;
- *  - recursion makes depths unbounded and is reported as
- *    "wcsu-recursion".
+ *    KernelParams::useDerivedStackSize is set.
  */
 
 #ifndef RTU_ANALYZE_ABSINT_WCSU_HH
@@ -34,26 +42,22 @@
 
 #include "analyze/cfg.hh"
 #include "analyze/diag.hh"
+#include "analyze/walk.hh"
 
 namespace rtu {
-
-struct WcsuOptions
-{
-    /** Per-program (pc, sp-state) visit budget (safety valve). */
-    unsigned stateBudget = 50'000;
-};
 
 class WcsuAnalyzer
 {
   public:
-    explicit WcsuAnalyzer(const Cfg &cfg, const WcsuOptions &options = {});
+    explicit WcsuAnalyzer(const Cfg &cfg,
+                          unsigned state_budget = kDefaultStateBudget);
 
     /** Analyze every declared function. Call once. */
     void run();
 
-    /** False when the visit budget was exhausted; results are then
-     *  partial and the overflow check degrades to a warning. */
-    bool converged() const { return converged_; }
+    /** False when the state budget was exhausted; results are then
+     *  partial and the overflow check is skipped. */
+    bool converged() const { return !walker_.exhausted(); }
 
     /**
      * Worst bytes live below the entry stack pointer of @p fn,
@@ -93,7 +97,7 @@ class WcsuAnalyzer
         return regionUsage_;
     }
 
-    /** Structural findings from the walk (recursion, budget). */
+    /** Pass 3's findings, recursion and the budget warning. */
     const std::vector<Diagnostic> &diags() const { return diags_; }
 
     /**
@@ -105,40 +109,21 @@ class WcsuAnalyzer
     void checkOverflow(std::vector<Diagnostic> &out) const;
 
   private:
-    struct FnSummary
-    {
-        unsigned depth = 0;  ///< entry-relative worst depth
-        bool done = false;
-    };
-
-    struct SpState
-    {
-        enum Mode : std::uint8_t { kEntryRel, kAbsolute, kUnknown };
-        Mode mode = kEntryRel;
-        std::int64_t value = 0;
-
-        bool operator<(const SpState &o) const
-        {
-            return mode != o.mode ? mode < o.mode : value < o.value;
-        }
-    };
+    class SpWalk;  // one function's walk
 
     unsigned depthOf(Addr entry);
-    unsigned walkFunction(Addr entry, Addr begin, Addr end);
     void touch(const SpState &st, std::int64_t extra, unsigned &depth);
 
     const Cfg &cfg_;
     const Program &program_;
-    WcsuOptions options_;
 
     std::vector<StackRegion> regions_;
-    std::map<Addr, FnSummary> summaries_;
+    std::map<Addr, unsigned> depths_;  ///< finished entry-relative depths
     std::set<Addr> inProgress_;
     std::map<std::string, unsigned> regionUsage_;
     unsigned unknownExtra_ = 0;
-    unsigned statesSeen_ = 0;
-    bool converged_ = true;
     std::vector<Diagnostic> diags_;
+    PathWalker<SpState> walker_;
 };
 
 } // namespace rtu

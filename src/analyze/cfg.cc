@@ -58,14 +58,12 @@ Cfg::Cfg(const Program &program) : program_(program)
         const TermKind term = termKindOf(d);
         if (term == TermKind::kFallThrough)
             continue;
-        if (term == TermKind::kBranch || term == TermKind::kJump ||
-            term == TermKind::kCall) {
-            const Addr target = pc + static_cast<Word>(d.imm);
-            rtu_assert(contains(target),
-                       "control target 0x%08x outside text (insn at "
-                       "0x%08x)", target, pc);
+        // A target outside text gets no leader and no edge; the
+        // soundness pass reports it.
+        const Addr target = pc + static_cast<Word>(d.imm);
+        if ((term == TermKind::kBranch || term == TermKind::kJump ||
+             term == TermKind::kCall) && contains(target))
             leaders.insert(target);
-        }
         if (contains(pc + 4))
             leaders.insert(pc + 4);
     }
@@ -91,7 +89,8 @@ Cfg::Cfg(const Program &program) : program_(program)
             break;
           case TermKind::kBranch:
             bb.takenTarget = bb.termPc() + static_cast<Word>(last.imm);
-            bb.succs.push_back(bb.takenTarget);
+            if (contains(bb.takenTarget))
+                bb.succs.push_back(bb.takenTarget);
             if (atTextEnd)
                 bb.term = TermKind::kFallOffText;  // false edge exits
             else
@@ -99,7 +98,8 @@ Cfg::Cfg(const Program &program) : program_(program)
             break;
           case TermKind::kJump:
             bb.takenTarget = bb.termPc() + static_cast<Word>(last.imm);
-            bb.succs.push_back(bb.takenTarget);
+            if (contains(bb.takenTarget))
+                bb.succs.push_back(bb.takenTarget);
             break;
           case TermKind::kCall:
             bb.takenTarget = bb.termPc() + static_cast<Word>(last.imm);
@@ -184,7 +184,8 @@ Cfg::reachableFrom(Addr entry, bool follow_calls) const
         const BasicBlock &bb = blockAt(leader);
         for (Addr succ : bb.succs)
             work.push_back(succ);
-        if (follow_calls && bb.term == TermKind::kCall)
+        if (follow_calls && bb.term == TermKind::kCall &&
+            contains(bb.takenTarget))
             work.push_back(bb.takenTarget);
     }
     return seen;

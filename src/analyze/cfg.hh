@@ -6,9 +6,13 @@
  * targets, post-control fall-throughs, function starts
  * (Program::functions) and text labels (Program::symbols), with
  * classified terminators (branch / jump / call / return / mret /
- * indirect / fall-through). Shared by the lint passes (src/analyze)
- * and the WCET analyzer (src/wcet), so both rest on one verified edge
- * construction instead of private instruction walks.
+ * indirect / fall-through). This is the only place that classifies
+ * control flow: the lint passes and WCSU walk these blocks through
+ * walk.hh, and the WCET analyzer (src/wcet) and the abstract
+ * interpreter step them directly, so all rest on one verified edge
+ * construction. A control target outside the text section gets no
+ * leader and no successor edge (pass 4 reports it); construction
+ * never aborts on a broken program.
  */
 
 #ifndef RTU_ANALYZE_CFG_HH
@@ -41,7 +45,8 @@ struct BasicBlock
     Addr begin = 0;  ///< first instruction address
     Addr end = 0;    ///< one past the last instruction ([begin, end))
     TermKind term = TermKind::kFallThrough;
-    /** Branch/jump/call target (0 when terminator has none). */
+    /** Branch/jump/call target (0 when terminator has none). A
+     *  target outside text is kept here but is not a successor. */
     Addr takenTarget = 0;
     /** Successor block leaders (call edges are NOT successors; the
      *  call continuation pc + 4 is). */

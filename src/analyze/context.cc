@@ -31,16 +31,14 @@
  */
 
 #include <array>
-#include <set>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "kernel/layout.hh"
 #include "linter.hh"
+#include "walk.hh"
 
 namespace rtu {
 
@@ -95,6 +93,9 @@ ctxSlotFor(RegIndex r)
 /** Value provenance tag for the csr save patterns. */
 enum CsrTag : std::uint8_t { kTagNone = 0, kTagMepc = 1, kTagMstatus = 2 };
 
+/** Trap-path calls deeper than this end the path with an error. */
+constexpr std::size_t kMaxCallDepth = 16;
+
 struct CtxState
 {
     std::uint64_t saved = 0;     ///< reg archived (sw or hardware)
@@ -108,34 +109,16 @@ struct CtxState
     bool frameSwitched = false;
     std::vector<Addr> retStack;
 
-    std::string
-    key() const
-    {
-        std::string k;
-        k.reserve(64 + 4 * retStack.size());
-        auto put = [&k](std::uint64_t v, unsigned bytes) {
-            for (unsigned i = 0; i < bytes; ++i)
-                k.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-        };
-        put(saved, 8);
-        put(restored, 8);
-        put(written, 8);
-        put((switchedRf ? 1 : 0) | (frameSwitched ? 2 : 0), 1);
-        for (std::uint8_t t : tag)
-            k.push_back(static_cast<char>(t));
-        for (Addr a : retStack)
-            put(a, 4);
-        return k;
-    }
+    auto operator<=>(const CtxState &) const = default;
 };
 
-class ContextWalker
+/** Follows calls through the path's return stack. */
+class ContextPolicy : public WalkPolicy<CtxState>
 {
   public:
-    ContextWalker(const Cfg &cfg, const RtosUnitConfig &unit,
-                  const LintOptions &options,
-                  std::vector<Diagnostic> &out)
-        : cfg_(cfg), unit_(unit), options_(options), out_(out)
+    ContextPolicy(PathWalker<CtxState> &walker,
+                  const RtosUnitConfig &unit)
+        : walker_(walker), unit_(unit)
     {
         if (unit_.store) {
             hwSaved_ = ctxGprMask() | bitOf(SP) | bitOf(kMepcBit) |
@@ -150,126 +133,67 @@ class ContextWalker
         }
     }
 
-    void
-    run(Addr isr_entry)
+    CtxState
+    entryState() const
     {
-        CtxState init;
-        init.saved = hwSaved_;
-        work_.emplace_back(isr_entry, std::move(init));
-        while (!work_.empty()) {
-            auto [pc, state] = std::move(work_.back());
-            work_.pop_back();
-            walk(pc, std::move(state));
-        }
+        CtxState st;
+        st.saved = hwSaved_;
+        return st;
     }
+
+    void
+    step(Addr pc, const DecodedInsn &d, CtxState &st)
+    {
+        checkReads(pc, d, st);
+        if (d.op == Op::kSwitchRf) {
+            if (unit_.omit) {
+                report(Severity::kError, "omit-live-load", pc,
+                       "SWITCH_RF on the trap path makes omitted "
+                       "restore loads live: software touches the "
+                       "application register bank under (O)");
+            }
+            st.switchedRf = true;
+            st.frameSwitched = true;
+            return;
+        }
+        applySave(d, st);
+        const bool restore = isRestoreLoad(pc, d, st);
+        applyWrite(pc, d, st, restore);
+        applyCsr(pc, d, st);
+        if (d.op == Op::kSetContextId)
+            st.frameSwitched = true;  // a next task is latched
+    }
+
+    std::optional<Addr>
+    call(const BasicBlock &bb, CtxState &st)
+    {
+        if (st.retStack.size() >= kMaxCallDepth) {
+            report(Severity::kError, "lint-call-depth", bb.termPc(),
+                   "call depth exceeded on trap path");
+            return std::nullopt;
+        }
+        st.retStack.push_back(bb.end);
+        return bb.takenTarget;
+    }
+
+    std::optional<Addr>
+    ret(Addr, CtxState &st)
+    {
+        if (st.retStack.empty())
+            return std::nullopt;  // "ret" out of the trap path
+        const Addr back = st.retStack.back();
+        st.retStack.pop_back();
+        return back;
+    }
+
+    void trapReturn(Addr pc, const CtxState &st) { finishAtMret(pc, st); }
 
   private:
     void
     report(Severity sev, const std::string &code, Addr pc,
            const std::string &message)
     {
-        if (!reported_.insert(code + "@" + std::to_string(pc)).second)
-            return;
-        Diagnostic d;
-        d.severity = sev;
-        d.code = code;
-        d.pc = pc;
-        d.hasPc = true;
-        d.function = cfg_.program().functionAt(pc);
-        d.insn = cfg_.contains(pc) ? disassemble(cfg_.insnAt(pc).raw)
-                                   : std::string();
-        d.message = message;
-        out_.push_back(std::move(d));
-    }
-
-    /** Memoize at block leaders; false = state already explored. */
-    bool
-    enter(Addr pc, const CtxState &state)
-    {
-        if (cfg_.blocks().count(pc) == 0)
-            return true;  // mid-block continuation
-        if (statesSeen_ >= options_.stateBudget) {
-            report(Severity::kWarning, "lint-budget-exceeded", pc,
-                   "context-integrity exploration exceeded the state "
-                   "budget; results are partial");
-            return false;
-        }
-        if (!visited_[pc].insert(state.key()).second)
-            return false;
-        ++statesSeen_;
-        return true;
-    }
-
-    void
-    walk(Addr pc, CtxState st)
-    {
-        while (true) {
-            if (!cfg_.contains(pc))
-                return;  // fell off text; the soundness pass reports it
-            if (!enter(pc, st))
-                return;
-            const DecodedInsn &d = cfg_.insnAt(pc);
-
-            checkReads(pc, d, st);
-
-            switch (d.op) {
-              case Op::kMret:
-                finishAtMret(pc, st);
-                return;
-              case Op::kJal:
-                applyWrite(pc, d, st, /*is_restore=*/false);
-                if (d.rd == RA) {
-                    if (st.retStack.size() >= 16) {
-                        report(Severity::kError, "lint-call-depth", pc,
-                               "call depth exceeded on trap path");
-                        return;
-                    }
-                    st.retStack.push_back(pc + 4);
-                }
-                pc += static_cast<Word>(d.imm);
-                continue;
-              case Op::kJalr:
-                if (d.rd == Zero && d.rs1 == RA && d.imm == 0) {
-                    if (st.retStack.empty())
-                        return;  // "ret" out of the trap path
-                    pc = st.retStack.back();
-                    st.retStack.pop_back();
-                    continue;
-                }
-                return;  // indirect; the soundness pass reports it
-              case Op::kSwitchRf:
-                if (unit_.omit) {
-                    report(Severity::kError, "omit-live-load", pc,
-                           "SWITCH_RF on the trap path makes omitted "
-                           "restore loads live: software touches the "
-                           "application register bank under (O)");
-                }
-                st.switchedRf = true;
-                st.frameSwitched = true;
-                pc += 4;
-                continue;
-              case Op::kInvalid:
-                return;  // the soundness pass reports it
-              default:
-                break;
-            }
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                CtxState taken = st;
-                work_.emplace_back(pc + static_cast<Word>(d.imm),
-                                   std::move(taken));
-                pc += 4;
-                continue;
-            }
-
-            applySave(d, st);
-            const bool restore = isRestoreLoad(pc, d, st);
-            applyWrite(pc, d, st, restore);
-            applyCsr(pc, d, st);
-            if (d.op == Op::kSetContextId)
-                st.frameSwitched = true;  // a next task is latched
-            pc += 4;
-        }
+        walker_.report(sev, code, pc, message);
     }
 
     /** Store-family ISR banks hold stale values at trap entry. */
@@ -448,16 +372,10 @@ class ContextWalker
         }
     }
 
-    const Cfg &cfg_;
+    PathWalker<CtxState> &walker_;
     const RtosUnitConfig &unit_;
-    const LintOptions &options_;
-    std::vector<Diagnostic> &out_;
     std::uint64_t hwSaved_ = 0;
     std::uint64_t hwRestored_ = 0;
-    std::vector<std::pair<Addr, CtxState>> work_;
-    std::unordered_map<Addr, std::unordered_set<std::string>> visited_;
-    std::set<std::string> reported_;
-    unsigned statesSeen_ = 0;
 };
 
 } // namespace
@@ -470,8 +388,11 @@ checkContextIntegrity(const Cfg &cfg, const RtosUnitConfig &unit,
     const auto it = cfg.program().symbols.find("k_isr");
     if (it == cfg.program().symbols.end() || !cfg.contains(it->second))
         return;  // no trap entry: nothing to verify
-    ContextWalker walker(cfg, unit, options, out);
-    walker.run(it->second);
+    PathWalker<CtxState> walker(cfg, "context-integrity",
+                                options.stateBudget, out);
+    ContextPolicy policy(walker, unit);
+    walker.walk(policy, it->second, policy.entryState(),
+                cfg.program().textBase, cfg.program().textEnd());
 }
 
 } // namespace rtu

@@ -37,9 +37,9 @@ checkAbsint(const Program &program, const LintOptions &options,
     LoopBoundResult bounds = inferLoopBounds(engine, lbo);
     out.insert(out.end(), bounds.diags.begin(), bounds.diags.end());
 
-    WcsuAnalyzer wcsu(engine.cfg());
+    // The walk's own findings are pass 3's (checkStackDiscipline).
+    WcsuAnalyzer wcsu(engine.cfg(), options.stateBudget);
     wcsu.run();
-    out.insert(out.end(), wcsu.diags().begin(), wcsu.diags().end());
     wcsu.checkOverflow(out);
 }
 

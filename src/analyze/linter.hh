@@ -16,12 +16,22 @@
  *     every path reaching a `ret` (kernel convention: t/a registers
  *     and ra are caller-saved, see src/kernel/kernel.cc).
  *  3. stack discipline — SP balanced across joining paths and zero at
- *     `ret`; no access below SP.
- *  4. CFG soundness — invalid encodings, unreachable blocks,
- *     fall-through off textEnd() or across a function boundary,
- *     ISR-reachable backward edges lacking a loopBounds annotation
- *     (which would make the WCET analysis unsound), trap handlers
- *     that cannot reach `mret`, indirect jumps on the ISR path.
+ *     `ret`; no access below SP; no recursion. The same stack-pointer
+ *     walk yields the worst-case stack usage (absint/wcsu.hh).
+ *  4. CFG soundness — invalid encodings, control targets outside the
+ *     text, unreachable blocks, fall-through off textEnd() or across
+ *     a function boundary, ISR-reachable backward edges lacking a
+ *     loopBounds annotation (which would make the WCET analysis
+ *     unsound), trap handlers that cannot reach `mret`, indirect
+ *     jumps on the ISR path.
+ *
+ * Passes 1-3 are symbolic walks on the shared walker (walk.hh): each
+ * brings its state, transfer function and call policy (pass 1
+ * follows calls through a return stack, passes 2 and 3 treat a call
+ * as balanced, WCSU charges the callee's depth); the walker follows
+ * the Cfg's terminators, memoizes states at block leaders and stops a
+ * run at LintOptions::stateBudget with one "lint-budget-exceeded"
+ * warning.
  *
  * The passes never abort on a broken program: every violation is a
  * Diagnostic (diag.hh). `rtu_lint` runs them over the full generated
@@ -39,15 +49,15 @@
 #include "cfg.hh"
 #include "diag.hh"
 #include "rtosunit/config.hh"
+#include "walk.hh"
 
 namespace rtu {
 
 struct LintOptions
 {
-    /** Run the WCET-soundness lints (annotation coverage). */
-    bool wcetChecks = true;
-    /** State-exploration budget per dataflow pass (visited states). */
-    unsigned stateBudget = 200'000;
+    /** Leader states one walking pass run may explore; past it the
+     *  run warns "lint-budget-exceeded" and results are partial. */
+    unsigned stateBudget = kDefaultStateBudget;
     /**
      * Run the abstract-interpretation pass family (pass 5): inferred
      * loop bounds cross-checked against annotations, whole-program
@@ -86,7 +96,8 @@ void checkContextIntegrity(const Cfg &cfg, const RtosUnitConfig &unit,
 void checkCalleeSaved(const Cfg &cfg, const LintOptions &options,
                       std::vector<Diagnostic> &out);
 
-/** Pass 3: SP balance and no access below SP, per function. */
+/** Pass 3: SP balance, no access below SP and no recursion, per
+ *  function (the WCSU walk, absint/wcsu.hh). */
 void checkStackDiscipline(const Cfg &cfg, const LintOptions &options,
                           std::vector<Diagnostic> &out);
 

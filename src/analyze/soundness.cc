@@ -3,6 +3,7 @@
  * Pass 4: CFG soundness and WCET-annotation coverage.
  *
  *  - invalid encodings inside the text section;
+ *  - branch, jump or call targets outside the text section;
  *  - blocks unreachable from any function entry or the trap vector;
  *  - control falling off textEnd();
  *  - fall-through edges that silently cross a function boundary;
@@ -15,29 +16,13 @@
 #include <set>
 #include <string>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "linter.hh"
+#include "walk.hh"
 
 namespace rtu {
 
 namespace {
-
-void
-report(std::vector<Diagnostic> &out, const Cfg &cfg, Severity sev,
-       const std::string &code, Addr pc, const std::string &message)
-{
-    Diagnostic d;
-    d.severity = sev;
-    d.code = code;
-    d.pc = pc;
-    d.hasPc = true;
-    d.function = cfg.program().functionAt(pc);
-    if (cfg.contains(pc))
-        d.insn = disassemble(cfg.insnAt(pc).raw);
-    d.message = message;
-    out.push_back(std::move(d));
-}
 
 /** Fall-through-style successor (not a taken branch/jump target). */
 bool
@@ -50,15 +35,20 @@ hasFallEdge(const BasicBlock &bb)
 } // namespace
 
 void
-checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
+checkCfgSoundness(const Cfg &cfg, const LintOptions &,
                   std::vector<Diagnostic> &out)
 {
     const Program &program = cfg.program();
+    DiagReporter reporter(cfg, out);
+    const auto report = [&](Severity sev, const std::string &code,
+                            Addr pc, const std::string &message) {
+        reporter.report(sev, code, pc, message);
+    };
 
     // Invalid encodings in text.
     for (Addr pc = program.textBase; pc < program.textEnd(); pc += 4) {
         if (cfg.insnAt(pc).op == Op::kInvalid) {
-            report(out, cfg, Severity::kError, "invalid-insn", pc,
+            report(Severity::kError, "invalid-insn", pc,
                    csprintf("text word 0x%08x does not decode",
                             cfg.insnAt(pc).raw));
         }
@@ -87,7 +77,7 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
             // code worth flagging.
             if (cfg.isClosedLoop(leader))
                 continue;
-            report(out, cfg, Severity::kWarning, "cfg-unreachable",
+            report(Severity::kWarning, "cfg-unreachable",
                    leader,
                    "block is unreachable from every function entry "
                    "and the trap vector");
@@ -95,9 +85,18 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
     }
 
     for (const auto &[leader, bb] : cfg.blocks()) {
+        // A branch, jump or call into nowhere (Cfg drops the edge).
+        if ((bb.term == TermKind::kBranch || bb.term == TermKind::kJump ||
+             bb.term == TermKind::kCall) &&
+            !cfg.contains(bb.takenTarget)) {
+            report(Severity::kError, "cfg-target-outside-text",
+                   bb.termPc(),
+                   csprintf("control target 0x%08x is outside the text "
+                            "section", bb.takenTarget));
+        }
         // Running off the end of the text section.
         if (bb.term == TermKind::kFallOffText) {
-            report(out, cfg, Severity::kError, "cfg-fall-off-text",
+            report(Severity::kError, "cfg-fall-off-text",
                    bb.termPc(),
                    "control can run past textEnd(): the block's last "
                    "instruction is not a terminator");
@@ -108,7 +107,7 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
             const std::string from = program.functionAt(bb.termPc());
             const std::string to = program.functionAt(bb.end);
             if (from != to) {
-                report(out, cfg, Severity::kError,
+                report(Severity::kError,
                        "cfg-fall-through-function", bb.termPc(),
                        csprintf("fall-through crosses a function "
                                 "boundary (%s -> %s)",
@@ -119,8 +118,7 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
     }
 
     // WCET-soundness lints over the subgraph the analyzer walks.
-    if (!options.wcetChecks || isr == program.symbols.end() ||
-        !cfg.contains(isr->second))
+    if (isr == program.symbols.end() || !cfg.contains(isr->second))
         return;
     const std::set<Addr> scope = cfg.reachableFrom(isr->second, true);
     bool sawMret = false;
@@ -133,7 +131,7 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
             break;
           case TermKind::kBranch:
             if (bb.takenTarget <= tpc && !cfg.hasLoopBound(tpc)) {
-                report(out, cfg, Severity::kError,
+                report(Severity::kError,
                        "wcet-unannotated-back-edge", tpc,
                        "ISR-reachable backward branch without a "
                        "loopBounds annotation: WCET is unbounded");
@@ -142,14 +140,14 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
           case TermKind::kJump:
             if (bb.takenTarget <= tpc && !cfg.hasLoopBound(tpc) &&
                 !cfg.isClosedLoop(bb.takenTarget)) {
-                report(out, cfg, Severity::kError,
+                report(Severity::kError,
                        "wcet-unannotated-back-edge", tpc,
                        "ISR-reachable backward jump without a "
                        "loopBounds annotation: WCET is unbounded");
             }
             break;
           case TermKind::kIndirect:
-            report(out, cfg, Severity::kError, "cfg-indirect-jump",
+            report(Severity::kError, "cfg-indirect-jump",
                    tpc,
                    "indirect jump on the ISR path has no static "
                    "successor; neither the linter nor the WCET "
@@ -160,7 +158,7 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
         }
     }
     if (!sawMret) {
-        report(out, cfg, Severity::kError, "isr-no-mret", isr->second,
+        report(Severity::kError, "isr-no-mret", isr->second,
                "no mret is reachable from the trap vector: the "
                "handler cannot return to a task");
     }

@@ -402,9 +402,11 @@ Executor::execCustom(Executor &e, const DecodedInsn &d, Addr pc,
                      ExecResult &res)
 {
     (void)res;
-    if (!e.unit_)
-        panic("custom instruction %s without an RTOSUnit at pc "
-              "0x%08x", opName(d.op), pc);
+    if (!e.unitConfig_.implements(d.op)) {
+        guest_fault("illegal instruction 0x%08x at pc 0x%08x (%s): not "
+                    "implemented by this RTOSUnit configuration", d.raw,
+                    pc, disassemble(d).c_str());
+    }
     ArchState &s = e.state_;
     const Word rs1 = s.reg(d.rs1);
     const Word rs2 = s.reg(d.rs2);

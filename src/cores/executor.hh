@@ -13,6 +13,7 @@
 #include "arch_state.hh"
 #include "asm/insn.hh"
 #include "common/types.hh"
+#include "rtosunit/config.hh"
 #include "rtosunit_port.hh"
 #include "sim/irq.hh"
 #include "sim/mem.hh"
@@ -40,8 +41,14 @@ class Executor
         : state_(state), mem_(mem), irq_(irq)
     {}
 
-    /** Attach the RTOSUnit (null => custom instructions are illegal). */
-    void setUnit(RtosUnitPort *unit) { unit_ = unit; }
+    /** Attach the RTOSUnit of @p config. A custom instruction the
+     *  configuration does not implement is illegal (a guest fault). */
+    void
+    setUnit(RtosUnitPort *unit, const RtosUnitConfig &config)
+    {
+        unit_ = unit;
+        unitConfig_ = config;
+    }
     RtosUnitPort *unit() const { return unit_; }
 
     /** Clock source for the mcycle CSR. */
@@ -144,6 +151,7 @@ class Executor
     MemSystem &mem_;
     IrqLines &irq_;
     RtosUnitPort *unit_ = nullptr;
+    RtosUnitConfig unitConfig_;  ///< vanilla: no custom instructions
     const Cycle *now_ = nullptr;
 };
 

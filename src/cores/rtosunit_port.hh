@@ -22,20 +22,23 @@ class RtosUnitPort
     virtual ~RtosUnitPort() = default;
 
     // ---- custom instructions (functional semantics) ------------------
-    virtual void setContextId(Word id) = 0;
-    virtual Word getHwSched() = 0;
-    virtual void addReady(Word id, Word prio) = 0;
-    virtual void addDelay(Word prio, Word ticks) = 0;
-    virtual void rmTask(Word id) = 0;
+    // The executor faults on every instruction the configuration does
+    // not implement (RtosUnitConfig::implements), so a unit overrides
+    // only the ones it has; the defaults are never reached.
+    virtual void setContextId(Word) {}
+    virtual Word getHwSched() { return 0; }
+    virtual void addReady(Word, Word) {}
+    virtual void addDelay(Word, Word) {}
+    virtual void rmTask(Word) {}
     virtual void switchRf() = 0;
 
     // Hardware synchronization extension (paper future work, §7).
     /** SEM_TAKE: returns 1 when acquired; 0 when the caller was
      *  moved to the semaphore's wait queue and must yield. */
-    virtual Word semTake(Word sem_id) = 0;
+    virtual Word semTake(Word) { return 0; }
     /** SEM_GIVE: returns 1 when a higher-priority waiter woke (the
      *  caller should yield); 0 otherwise. */
-    virtual Word semGive(Word sem_id) = 0;
+    virtual Word semGive(Word) { return 0; }
 
     // ---- stall conditions (sampled before the insn executes) ---------
     /** SWITCH_RF must wait for the store FSM (Section 4.2). */

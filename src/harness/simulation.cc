@@ -134,7 +134,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
         unitPort_ = std::make_unique<DedicatedUnitPort>(mem_);
         UnitCacheHook *hook = nax ? &nax->dcache() : nullptr;
         cv32rt_ = std::make_unique<Cv32rtUnit>(state_, *unitPort_, hook);
-        exec_.setUnit(cv32rt_.get());
+        exec_.setUnit(cv32rt_.get(), config_.unit);
     } else if (config_.unit.anyHardware()) {
         // RTOSUnit arbitration point per core (paper Section 5):
         // CV32E40P at the LSU/DMEM port, CVA6 at the bus, NaxRiscv
@@ -154,7 +154,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
             break;
         }
         unit_ = std::make_unique<RtosUnit>(config_.unit, state_, *port);
-        exec_.setUnit(unit_.get());
+        exec_.setUnit(unit_.get(), config_.unit);
         if (config_.unit.sched)
             clint_.enableAutoReset(config_.timerPeriodCycles);
     }

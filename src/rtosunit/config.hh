@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "asm/insn.hh"
 #include "common/types.hh"
 
 namespace rtu {
@@ -56,6 +57,34 @@ struct RtosUnitConfig
     }
 
     bool isVanilla() const { return !anyHardware(); }
+
+    /**
+     * Does this configuration implement the custom instruction @p op?
+     * The executor raises an illegal-instruction guest fault for the
+     * rest. SET_CONTEXT_ID needs (S) or (L); the list instructions
+     * need (T); SWITCH_RF needs (S), or CV32RT, whose kernel uses it
+     * as the drain barrier; the semaphore instructions need +HS.
+     */
+    bool
+    implements(Op op) const
+    {
+        switch (op) {
+          case Op::kSetContextId:
+            return store || load;
+          case Op::kGetHwSched:
+          case Op::kAddReady:
+          case Op::kAddDelay:
+          case Op::kRmTask:
+            return sched;
+          case Op::kSwitchRf:
+            return store || cv32rt;
+          case Op::kSemTake:
+          case Op::kSemGive:
+            return hwsync;
+          default:
+            return false;
+        }
+    }
 
     /** Check the composition rules; returns false and fills @p why. */
     bool validate(std::string *why = nullptr) const;

@@ -75,13 +75,6 @@ class Cv32rtUnit : public RtosUnitPort, public Clocked
     }
 
     // ---- RtosUnitPort ---------------------------------------------------
-    void setContextId(Word id) override;
-    Word getHwSched() override;
-    void addReady(Word id, Word prio) override;
-    void addDelay(Word prio, Word ticks) override;
-    void rmTask(Word id) override;
-    Word semTake(Word sem_id) override;
-    Word semGive(Word sem_id) override;
     /** Re-purposed as the drain barrier in the CV32RT kernel. */
     void switchRf() override {}
     bool switchRfStall() const override;

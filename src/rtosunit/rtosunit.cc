@@ -47,8 +47,6 @@ RtosUnit::RtosUnit(const RtosUnitConfig &config, ArchState &state,
 void
 RtosUnit::setContextId(Word id)
 {
-    rtu_assert(config_.store || config_.load,
-               "SET_CONTEXT_ID requires context storing/loading");
     // Operands are guest values (a corrupted TCB can carry any id):
     // out of range ends the run, it does not abort the host.
     if (id >= memmap::kCtxMaxTasks)
@@ -61,7 +59,6 @@ RtosUnit::setContextId(Word id)
 Word
 RtosUnit::getHwSched()
 {
-    rtu_assert(config_.sched, "GET_HW_SCHED requires hardware scheduling");
     Priority prio = 0;
     const TaskId id = ready_.popHeadRoundRobin(&prio);
     currentCtxId_ = id;
@@ -75,7 +72,6 @@ RtosUnit::getHwSched()
 void
 RtosUnit::addReady(Word id, Word prio)
 {
-    rtu_assert(config_.sched, "ADD_READY requires hardware scheduling");
     if (id >= memmap::kCtxMaxTasks)
         guest_fault("ADD_READY task id %u out of range", id);
     ready_.insert(static_cast<TaskId>(id), static_cast<Priority>(prio));
@@ -84,14 +80,14 @@ RtosUnit::addReady(Word id, Word prio)
 void
 RtosUnit::addDelay(Word prio, Word ticks)
 {
-    rtu_assert(config_.sched, "ADD_DELAY requires hardware scheduling");
+    if (ticks == 0)
+        guest_fault("ADD_DELAY of zero ticks");
     delay_.insert(currentCtxId_, static_cast<Priority>(prio), ticks);
 }
 
 void
 RtosUnit::rmTask(Word id)
 {
-    rtu_assert(config_.sched, "RM_TASK requires hardware scheduling");
     ready_.remove(static_cast<TaskId>(id));
     delay_.remove(static_cast<TaskId>(id));
     for (HwSemaphore &s : sems_)
@@ -101,7 +97,6 @@ RtosUnit::rmTask(Word id)
 void
 RtosUnit::switchRf()
 {
-    rtu_assert(config_.store, "SWITCH_RF requires context storing");
     rtu_assert(!storeActive_, "SWITCH_RF executed while the store FSM "
                "is draining (stall logic failed)");
     state_.setActiveBank(ArchState::kAppBank);
@@ -112,7 +107,6 @@ RtosUnit::switchRf()
 Word
 RtosUnit::semTake(Word sem_id)
 {
-    rtu_assert(config_.hwsync, "SEM_TAKE without the +HS extension");
     if (sem_id >= sems_.size())
         guest_fault("SEM_TAKE semaphore id %u out of range", sem_id);
     HwSemaphore &s = sems_[sem_id];
@@ -134,7 +128,6 @@ RtosUnit::semTake(Word sem_id)
 Word
 RtosUnit::semGive(Word sem_id)
 {
-    rtu_assert(config_.hwsync, "SEM_GIVE without the +HS extension");
     if (sem_id >= sems_.size())
         guest_fault("SEM_GIVE semaphore id %u out of range", sem_id);
     HwSemaphore &s = sems_[sem_id];

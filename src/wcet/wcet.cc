@@ -1,6 +1,5 @@
 #include "wcet.hh"
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "rtosunit/rtosunit.hh"
 
@@ -32,23 +31,6 @@ WcetAnalyzer::WcetAnalyzer(const Program &program,
                            const Cv32e40pParams &params)
     : program_(program), unit_(unit), params_(params), cfg_(program)
 {
-}
-
-void
-WcetAnalyzer::reportOnce(const std::string &code, Addr pc,
-                         const std::string &message)
-{
-    if (!reported_.insert({code, pc}).second)
-        return;
-    Diagnostic d;
-    d.severity = Severity::kError;
-    d.code = code;
-    d.pc = pc;
-    d.hasPc = true;
-    d.function = program_.functionAt(pc);
-    d.insn = disassemble(cfg_.insnAt(pc).raw);
-    d.message = message;
-    diags_.push_back(std::move(d));
 }
 
 void
@@ -207,10 +189,12 @@ WcetAnalyzer::worstFrom(Addr pc, std::map<Addr, unsigned> budgets,
                 // treat the taken edge as infeasible so callers see
                 // a result plus a diagnostic instead of an abort.
                 if (!takenDead) {
-                    reportOnce("wcet-unannotated-back-edge", pc,
-                               "unannotated backward branch: taken "
-                               "edge treated as infeasible, WCET is "
-                               "a lower bound");
+                    reporter_.report(Severity::kError,
+                                     "wcet-unannotated-back-edge", pc,
+                                     "unannotated backward branch: "
+                                     "taken edge treated as "
+                                     "infeasible, WCET is a lower "
+                                     "bound");
                 }
                 return total.plus(
                     worstFrom(pc + 4, budgets, depth + 1));
@@ -243,9 +227,10 @@ WcetAnalyzer::worstFrom(Addr pc, std::map<Addr, unsigned> budgets,
 
           case TermKind::kIndirect:
             // Formerly a panic: generated kernels never emit these.
-            reportOnce("wcet-indirect-jump", pc,
-                       "indirect jump has no static successor: the "
-                       "walk ends here, WCET is a lower bound");
+            reporter_.report(Severity::kError, "wcet-indirect-jump", pc,
+                             "indirect jump has no static successor: "
+                             "the walk ends here, WCET is a lower "
+                             "bound");
             return total;
 
           case TermKind::kFallOffText:

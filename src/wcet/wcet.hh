@@ -26,13 +26,13 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "analyze/absint/facts.hh"
 #include "analyze/cfg.hh"
 #include "analyze/diag.hh"
+#include "analyze/walk.hh"
 #include "asm/program.hh"
 #include "cores/cv32e40p.hh"
 #include "rtosunit/config.hh"
@@ -110,8 +110,6 @@ class WcetAnalyzer
                        unsigned depth);
 
     PathCost costOf(const DecodedInsn &insn) const;
-    void reportOnce(const std::string &code, Addr pc,
-                    const std::string &message);
 
     /** Tightest budget for the back edge at @p pc: min(annotation,
      *  inferred), or nullopt when neither exists. */
@@ -124,7 +122,7 @@ class WcetAnalyzer
     AbsintFacts facts_;
     std::map<Addr, PathCost> functionCache_;
     std::vector<Diagnostic> diags_;
-    std::set<std::pair<std::string, Addr>> reported_;
+    DiagReporter reporter_{cfg_, diags_};
 };
 
 } // namespace rtu

@@ -239,9 +239,9 @@ TEST_F(ExecutorTest, DirtyBitsTrackAppBankWritesOnly)
     EXPECT_FALSE(state.regDirty(A2));
 }
 
-TEST_F(ExecutorTest, CustomInsnWithoutUnitPanics)
+TEST_F(ExecutorTest, CustomInsnWithoutUnitIsAGuestFault)
 {
-    EXPECT_DEATH(run(Op::kSwitchRf, 0, 0, 0, 0), "without an RTOSUnit");
+    EXPECT_THROW(run(Op::kSwitchRf, 0, 0, 0, 0), GuestFault);
 }
 
 } // namespace

@@ -215,6 +215,34 @@ TEST(GuestOperand, SemGiveOutOfRangeIsAGuestFault)
                      "SEM_GIVE");
 }
 
+TEST(GuestOperand, CustomInsnMissingFromConfigIsAGuestFault)
+{
+    struct Case
+    {
+        const char *config;
+        void (*emit)(Assembler &);
+    };
+    const Case cases[] = {
+        {"vanilla", [](Assembler &a) { a.rtuSwitchRf(); }},
+        {"S", [](Assembler &a) { a.rtuGetHwSched(T1); }},
+        {"T", [](Assembler &a) { a.rtuSemTake(T1, Zero); }},
+        {"CV32RT", [](Assembler &a) { a.rtuAddReady(Zero, Zero); }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.config);
+        expectFaultingRun(guestProgram(0, c.emit),
+                          RtosUnitConfig::fromName(c.config),
+                          "illegal instruction");
+    }
+}
+
+TEST(GuestOperand, ZeroTickAddDelayIsAGuestFault)
+{
+    expectFaultingRun(
+        guestProgram(0, [](Assembler &a) { a.rtuAddDelay(Zero, T0); }),
+        RtosUnitConfig::fromName("T"), "ADD_DELAY of zero ticks");
+}
+
 /** One load or store (through t0 = @p addr) that the device at
  *  @p addr does not implement: a wrong access size or an unmapped
  *  register offset inside the device window. */

@@ -422,6 +422,52 @@ TEST(Soundness, UnreachableBlock)
     EXPECT_TRUE(hasCode(diags, "cfg-unreachable")) << diagsText(diags);
 }
 
+TEST(Soundness, TargetOutsideTextIsReportedNotFatal)
+{
+    Assembler a(kTextBase, kDataBase);
+    a.j("past_end");  // one word: the target is textEnd()
+    a.label("past_end");
+    const Program p = a.finish();
+    EXPECT_TRUE(Cfg(p).blockAt(kTextBase).succs.empty());
+    const auto diags = lint(p, "vanilla");
+    EXPECT_TRUE(hasCode(diags, "cfg-target-outside-text"))
+        << diagsText(diags);
+}
+
+// ---- walk budget -------------------------------------------------------
+
+TEST(WalkBudget, EveryWalkReportsExhaustion)
+{
+    // Two leaders per walk: the second one exceeds a budget of one.
+    Assembler a(kTextBase, kDataBase);
+    a.fnBegin("f");
+    a.beqz(A0, "l1");
+    a.label("l1");
+    a.li(S0, 1);
+    a.addi(SP, SP, -16);
+    a.ret();
+    a.fnEnd();
+    a.label("k_isr");
+    a.beqz(A0, "isr_done");
+    a.label("isr_done");
+    a.mret();
+    const Program p = a.finish();
+    const Cfg cfg(p);
+    LintOptions options;
+    options.stateBudget = 1;
+
+    std::vector<Diagnostic> context, abi, stack;
+    checkContextIntegrity(cfg, RtosUnitConfig::vanilla(), options,
+                          context);
+    checkCalleeSaved(cfg, options, abi);
+    checkStackDiscipline(cfg, options, stack);
+    for (const auto *diags : {&context, &abi, &stack}) {
+        EXPECT_TRUE(hasCode(*diags, "lint-budget-exceeded"))
+            << diagsText(*diags);
+        EXPECT_EQ(countWarnings(*diags), 1u) << diagsText(*diags);
+    }
+}
+
 // ---- WCET analyzer: structured diagnostics instead of aborts ---------
 
 TEST(WcetDiagnostics, UnannotatedBackEdgeIsReportedNotFatal)
