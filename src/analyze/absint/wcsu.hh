@@ -26,9 +26,7 @@
  * Consumers:
  *  - checkStackDiscipline (pass 3) reports diags();
  *  - the linter's pass 5 compares usage against the generated region
- *    capacities ("stack-overflow-risk");
- *  - the kernel generator sizes task stacks from these bounds when
- *    KernelParams::useDerivedStackSize is set.
+ *    capacities ("stack-overflow-risk").
  */
 
 #ifndef RTU_ANALYZE_ABSINT_WCSU_HH

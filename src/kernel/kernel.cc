@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analyze/absint/wcsu.hh"
-#include "analyze/cfg.hh"
 #include "common/logging.hh"
 #include "sim/hostio.hh"
 #include "sim/memmap.hh"
@@ -64,10 +62,9 @@ std::string
 KernelBuilder::createSemaphore(const std::string &name, Word initial)
 {
     rtu_assert(!built_, "createSemaphore after build()");
-    const Addr base = asm_.dataArray(name, kSemSize / 4, 0);
-    (void)base;
-    // The count word is plain data; patch it by re-reserving is not
-    // possible, so emit the initial count from boot instead.
+    // The count word is plain data that cannot be patched after
+    // reservation, so boot code stores the initial count instead.
+    asm_.dataArray(name, kSemSize / 4, 0);
     semaphores_.push_back(name);
     semInitials_.push_back(initial);
     return name;
@@ -104,6 +101,13 @@ KernelBuilder::addTask(const TaskSpec &spec)
 // freely; task bodies follow the standard calling convention.
 
 void
+KernelBuilder::inlineListInit(Reg sentinel)
+{
+    asm_.sw(sentinel, kTcbNext, sentinel);
+    asm_.sw(sentinel, kTcbPrev, sentinel);
+}
+
+void
 KernelBuilder::inlineListRemove(Reg node, Reg t_a, Reg t_b)
 {
     Assembler &a = asm_;
@@ -114,14 +118,15 @@ KernelBuilder::inlineListRemove(Reg node, Reg t_a, Reg t_b)
 }
 
 void
-KernelBuilder::inlineListInsertEnd(Reg sentinel, Reg node, Reg t_a)
+KernelBuilder::inlineInsertBefore(Reg pos, Reg node, Reg t_a)
 {
+    // Inserting before a list's sentinel appends at the end.
     Assembler &a = asm_;
-    a.lw(t_a, kTcbPrev, sentinel);
-    a.sw(sentinel, kTcbNext, node);
+    a.lw(t_a, kTcbPrev, pos);
+    a.sw(pos, kTcbNext, node);
     a.sw(t_a, kTcbPrev, node);
     a.sw(node, kTcbNext, t_a);
-    a.sw(node, kTcbPrev, sentinel);
+    a.sw(node, kTcbPrev, pos);
 }
 
 void
@@ -134,7 +139,7 @@ KernelBuilder::inlineReadyInsert(Reg node, Reg t_a, Reg t_b, Reg t_c,
     a.la(t_b, "k_ready_lists");
     a.slli(t_c, t_a, 5);
     a.add(t_b, t_b, t_c);
-    inlineListInsertEnd(t_b, node, t_c);
+    inlineInsertBefore(t_b, node, t_c);
     // topReadyPriority = max(topReadyPriority, priority).
     a.la(t_b, "k_top_ready_prio");
     a.lw(t_c, 0, t_b);
@@ -164,12 +169,27 @@ KernelBuilder::inlineEventInsert(Reg sentinel_base, Reg node, Reg t_a,
     a.loopBound(kMaxTasks);
     a.j(loop);
     a.label(ins);
-    // Insert node before walker t_b.
-    a.lw(t_c, kTcbPrev, t_b);
-    a.sw(t_b, kTcbNext, node);
-    a.sw(t_c, kTcbPrev, node);
-    a.sw(node, kTcbNext, t_c);
-    a.sw(node, kTcbPrev, t_b);
+    inlineInsertBefore(t_b, node, t_c);
+}
+
+void
+KernelBuilder::inlineDelayInsert(const std::string &prefix)
+{
+    Assembler &a = asm_;
+    // t1 = running TCB, t3 = its wake tick: unlink it from its ready
+    // list, then insert it into the wake-time-sorted delay list.
+    inlineListRemove(T1, T4, T5);
+    a.la(T4, "k_delay_sentinel");
+    a.lw(T5, kTcbNext, T4);
+    a.label(prefix + "_loop");
+    a.beq(T5, T4, prefix + "_ins");
+    a.lw(T6, kTcbWake, T5);
+    a.bltu(T3, T6, prefix + "_ins");
+    a.lw(T5, kTcbNext, T5);
+    a.loopBound(kMaxTasks);
+    a.j(prefix + "_loop");
+    a.label(prefix + "_ins");
+    inlineInsertBefore(T5, T1, T6);
 }
 
 void
@@ -179,6 +199,27 @@ KernelBuilder::inlineRaiseMsip(Reg t_a, Reg t_b)
     a.li(t_a, static_cast<SWord>(memmap::kClintMsip));
     a.li(t_b, 1);
     a.sw(t_b, 0, t_a);
+}
+
+void
+KernelBuilder::inlineTickBump()
+{
+    Assembler &a = asm_;
+    a.la(T0, "k_tick_count");
+    a.lw(T1, 0, T0);
+    a.addi(T1, T1, 1);
+    a.sw(T1, 0, T0);
+}
+
+void
+KernelBuilder::inlineCtxToMscratch()
+{
+    // mscratch = context-region address of task a2.
+    Assembler &a = asm_;
+    a.slli(T3, A2, memmap::kCtxShift);
+    a.li(T4, static_cast<SWord>(memmap::kCtxBase));
+    a.add(T3, T3, T4);
+    a.csrw(csr::kMscratch, T3);
 }
 
 // ---- data section ---------------------------------------------------------
@@ -199,7 +240,7 @@ KernelBuilder::emitDataSection()
     for (unsigned i = 0; i < tasks_.size(); ++i) {
         a.dataArray(tcbSym(i), kTcbSize / 4, 0);
         a.dataAlign(16);
-        a.dataArray(csprintf("k_stack_%u", i), taskStackBytes(i) / 4, 0);
+        a.dataArray(csprintf("k_stack_%u", i), kTaskStackBytes / 4, 0);
         a.dataWord(stackTopSym(i), 0);  // its own address == stack top
     }
     a.dataAlign(16);
@@ -226,20 +267,17 @@ KernelBuilder::emitBoot()
             a.la(T1, "k_ready_lists");
             if (p > 0)
                 a.addi(T1, T1, static_cast<SWord>(p * kSentinelSize));
-            a.sw(T1, kTcbNext, T1);
-            a.sw(T1, kTcbPrev, T1);
+            inlineListInit(T1);
         }
         a.la(T1, "k_delay_sentinel");
-        a.sw(T1, kTcbNext, T1);
-        a.sw(T1, kTcbPrev, T1);
+        inlineListInit(T1);
     }
 
     // Mutex / semaphore wait-list sentinels and semaphore counts.
     for (const std::string &m : mutexes_) {
         a.la(T1, m);
         a.addi(T1, T1, kMutexSentinel);
-        a.sw(T1, kTcbNext, T1);
-        a.sw(T1, kTcbPrev, T1);
+        inlineListInit(T1);
     }
     for (size_t i = 0; i < semaphores_.size(); ++i) {
         a.la(T1, semaphores_[i]);
@@ -248,8 +286,7 @@ KernelBuilder::emitBoot()
             a.sw(T2, kSemCount, T1);
         }
         a.addi(T1, T1, kSemSentinel);
-        a.sw(T1, kTcbNext, T1);
-        a.sw(T1, kTcbPrev, T1);
+        inlineListInit(T1);
     }
 
     // Per-task initialization.
@@ -274,7 +311,7 @@ KernelBuilder::emitBoot()
             if (t.priority > 0)
                 a.addi(T3, T3,
                        static_cast<SWord>(t.priority * kSentinelSize));
-            inlineListInsertEnd(T3, T1, T4);
+            inlineInsertBefore(T3, T1, T4);
         }
 
         const std::string entry = "k_task_" + t.name;
@@ -358,6 +395,25 @@ KernelBuilder::emitBoot()
         a.fnEnd();
         return;
     }
+    emitSelectAndPublish();
+    if (u.store) {
+        inlineCtxToMscratch();
+        a.j("k_isr_restore_ctx");
+    } else {
+        a.lw(SP, kTcbTop, A0);
+        a.j("k_isr_restore");
+    }
+    a.fnEnd();
+}
+
+// ---- ISR -------------------------------------------------------------------
+
+void
+KernelBuilder::emitSelectAndPublish()
+{
+    Assembler &a = asm_;
+    const RtosUnitConfig &u = params_.unit;
+    // a0 = next TCB, a2 = its task id.
     if (u.sched) {
         a.rtuGetHwSched(T0);
         a.la(T1, "k_task_table");
@@ -375,26 +431,14 @@ KernelBuilder::emitBoot()
     a.sw(A0, 0, T1);
     a.la(T1, "currentTaskId");
     a.sw(A2, 0, T1);
-
-    if (u.store) {
-        a.slli(T3, A2, memmap::kCtxShift);
-        a.li(T4, static_cast<SWord>(memmap::kCtxBase));
-        a.add(T3, T3, T4);
-        a.csrw(csr::kMscratch, T3);
-        a.j("k_isr_restore_ctx");
-    } else {
-        a.lw(SP, kTcbTop, A0);
-        a.j("k_isr_restore");
-    }
-    a.fnEnd();
 }
 
-// ---- ISR -------------------------------------------------------------------
-
 void
-KernelBuilder::emitCauseDispatch(const std::string &prefix)
+KernelBuilder::emitIsrCauses(const std::string &prefix)
 {
     Assembler &a = asm_;
+    const RtosUnitConfig &u = params_.unit;
+    const std::string select = prefix + "_select";
     a.csrr(T0, csr::kMcause);
     a.bge(T0, Zero, "k_fatal_sync");  // interrupt bit clear: bug
     a.andi(T0, T0, 63);
@@ -405,6 +449,41 @@ KernelBuilder::emitCauseDispatch(const std::string &prefix)
     a.li(T1, 11);
     a.beq(T0, T1, prefix + "_ext");
     a.j("k_fatal_sync");
+
+    a.label(prefix + "_timer");
+    if (!u.sched) {
+        // Reprogram the compare register and process the delay list.
+        a.li(T0, static_cast<SWord>(memmap::kClintMtimecmp));
+        a.lw(T1, 0, T0);
+        a.li(T2, static_cast<SWord>(params_.timerPeriodCycles));
+        a.add(T1, T1, T2);
+        a.sw(T1, 0, T0);
+        a.call("k_tick");
+    }
+    // With (T), the auto-resetting timer and the hardware delay list
+    // leave nothing to do (paper Section 4.4) — unless k_delay_until
+    // needs a live tick count to convert absolute wake ticks into the
+    // relative counts the hardware delay list consumes.
+    if (u.sched && params_.usesDelayUntil)
+        inlineTickBump();
+    a.j(select);
+
+    a.label(prefix + "_sw");
+    a.li(T0, static_cast<SWord>(memmap::kClintMsip));
+    a.sw(Zero, 0, T0);
+    a.j(select);
+
+    a.label(prefix + "_ext");
+    a.li(T0, static_cast<SWord>(memmap::kHostExtAck));
+    a.sw(Zero, 0, T0);
+    if (params_.usesExternalIrq) {
+        a.la(A0, "k_ext_sem");
+        a.call("k_sem_give_isr");
+    }
+    a.j(select);
+
+    a.label(select);
+    emitSelectAndPublish();
 }
 
 void
@@ -474,60 +553,7 @@ KernelBuilder::emitIsrVanillaFamily()
     a.lw(T1, 0, T0);
     a.sw(SP, kTcbTop, T1);
 
-    emitCauseDispatch("k_isrv");
-
-    a.label("k_isrv_timer");
-    if (!u.sched) {
-        // Reprogram the compare register and process the delay list.
-        a.li(T0, static_cast<SWord>(memmap::kClintMtimecmp));
-        a.lw(T1, 0, T0);
-        a.li(T2, static_cast<SWord>(params_.timerPeriodCycles));
-        a.add(T1, T1, T2);
-        a.sw(T1, 0, T0);
-        a.call("k_tick");
-    }
-    // With (T), the auto-resetting timer and the hardware delay list
-    // leave nothing to do (paper Section 4.4) — unless k_delay_until
-    // needs a live tick count to convert absolute wake ticks into the
-    // relative counts the hardware delay list consumes.
-    if (u.sched && params_.usesDelayUntil) {
-        a.la(T0, "k_tick_count");
-        a.lw(T1, 0, T0);
-        a.addi(T1, T1, 1);
-        a.sw(T1, 0, T0);
-    }
-    a.j("k_isrv_select");
-
-    a.label("k_isrv_sw");
-    a.li(T0, static_cast<SWord>(memmap::kClintMsip));
-    a.sw(Zero, 0, T0);
-    a.j("k_isrv_select");
-
-    a.label("k_isrv_ext");
-    a.li(T0, static_cast<SWord>(memmap::kHostExtAck));
-    a.sw(Zero, 0, T0);
-    if (params_.usesExternalIrq) {
-        a.la(A0, "k_ext_sem");
-        a.call("k_sem_give_isr");
-    }
-    a.j("k_isrv_select");
-
-    a.label("k_isrv_select");
-    if (u.sched) {
-        a.rtuGetHwSched(T0);
-        a.la(T1, "k_task_table");
-        a.slli(T2, T0, 2);
-        a.add(T1, T1, T2);
-        a.lw(A0, 0, T1);
-        a.mv(A2, T0);
-    } else {
-        a.call("k_select");
-        a.lw(A2, kTcbId, A0);
-    }
-    a.la(T1, "k_current_tcb");
-    a.sw(A0, 0, T1);
-    a.la(T1, "currentTaskId");
-    a.sw(A2, 0, T1);
+    emitIsrCauses("k_isrv");
     a.lw(SP, kTcbTop, A0);
     if (u.cv32rt) {
         // Barrier: the dedicated-port drain of the snapshot half must
@@ -542,74 +568,18 @@ void
 KernelBuilder::emitIsrStoreFamily()
 {
     Assembler &a = asm_;
-    const RtosUnitConfig &u = params_.unit;
     a.fnBegin("k_isr");
     // The store FSM freed the whole register file; only a stack for
     // possible calls is needed.
     a.la(SP, "k_isr_stack_top");
 
-    emitCauseDispatch("k_isrs");
-
-    a.label("k_isrs_timer");
-    if (!u.sched) {
-        a.li(T0, static_cast<SWord>(memmap::kClintMtimecmp));
-        a.lw(T1, 0, T0);
-        a.li(T2, static_cast<SWord>(params_.timerPeriodCycles));
-        a.add(T1, T1, T2);
-        a.sw(T1, 0, T0);
-        a.call("k_tick");
-    }
-    // See emitIsrVanillaFamily: k_delay_until keeps the tick count
-    // live even when the hardware scheduler owns the delay list.
-    if (u.sched && params_.usesDelayUntil) {
-        a.la(T0, "k_tick_count");
-        a.lw(T1, 0, T0);
-        a.addi(T1, T1, 1);
-        a.sw(T1, 0, T0);
-    }
-    a.j("k_isrs_select");
-
-    a.label("k_isrs_sw");
-    a.li(T0, static_cast<SWord>(memmap::kClintMsip));
-    a.sw(Zero, 0, T0);
-    a.j("k_isrs_select");
-
-    a.label("k_isrs_ext");
-    a.li(T0, static_cast<SWord>(memmap::kHostExtAck));
-    a.sw(Zero, 0, T0);
-    if (params_.usesExternalIrq) {
-        a.la(A0, "k_ext_sem");
-        a.call("k_sem_give_isr");
-    }
-    a.j("k_isrs_select");
-
-    a.label("k_isrs_select");
-    if (u.sched) {
-        a.rtuGetHwSched(T0);
-        a.la(T1, "k_task_table");
-        a.slli(T2, T0, 2);
-        a.add(T1, T1, T2);
-        a.lw(A0, 0, T1);
-        a.mv(A2, T0);
-    } else {
-        a.call("k_select");
-        a.lw(A2, kTcbId, A0);
-        a.rtuSetContextId(A2);
-    }
-    a.la(T1, "k_current_tcb");
-    a.sw(A0, 0, T1);
-    a.la(T1, "currentTaskId");
-    a.sw(A2, 0, T1);
-
-    if (u.load) {
+    emitIsrCauses("k_isrs");
+    if (params_.unit.load) {
         // Restore runs in hardware; mret stalls until it completes and
         // switches back to the application register file.
         a.mret();
     } else {
-        a.slli(T3, A2, memmap::kCtxShift);
-        a.li(T4, static_cast<SWord>(memmap::kCtxBase));
-        a.add(T3, T3, T4);
-        a.csrw(csr::kMscratch, T3);
+        inlineCtxToMscratch();
         emitSwRestoreCtxAndRet();
     }
     a.fnEnd();
@@ -624,13 +594,10 @@ KernelBuilder::emitIsr()
         emitIsrVanillaFamily();
 
     // Synchronous traps indicate a kernel bug: stop loudly.
-    Assembler &a = asm_;
-    a.fnBegin("k_fatal_sync");
-    a.li(T0, static_cast<SWord>(memmap::kHostExit));
-    a.li(T1, 0xDEAD);
-    a.sw(T1, 0, T0);
-    a.j("k_fatal_sync");
-    a.fnEnd();
+    asm_.fnBegin("k_fatal_sync");
+    emitExit(0xDEAD);
+    asm_.j("k_fatal_sync");
+    asm_.fnEnd();
 }
 
 // ---- software scheduler ------------------------------------------------------
@@ -656,7 +623,7 @@ KernelBuilder::emitSelect()
     a.sw(T1, 0, T0);
     a.mv(A0, T4);
     inlineListRemove(A0, T5, T6);
-    inlineListInsertEnd(T2, A0, T5);
+    inlineInsertBefore(T2, A0, T5);
     a.ret();
     a.fnEnd();
 }
@@ -668,10 +635,7 @@ KernelBuilder::emitTickHandler()
     // Timer tick: advance the tick count, move expired delayed tasks
     // to their ready lists (paper Fig 2 (g)).
     a.fnBegin("k_tick");
-    a.la(T0, "k_tick_count");
-    a.lw(T1, 0, T0);
-    a.addi(T1, T1, 1);
-    a.sw(T1, 0, T0);
+    inlineTickBump();
     a.label("k_tick_wake");
     a.la(T2, "k_delay_sentinel");
     a.lw(T3, kTcbNext, T2);
@@ -688,6 +652,84 @@ KernelBuilder::emitTickHandler()
 }
 
 // ---- task API -------------------------------------------------------------
+
+void
+KernelBuilder::emitBlockOnEvent(SWord sentinel_offset,
+                                const std::string &unique)
+{
+    Assembler &a = asm_;
+    // Move the running task from the ready list onto the event list
+    // at a0 + @p sentinel_offset and yield; it resumes right after the
+    // interrupt-enable, already handed the object by the waker.
+    a.la(T1, "k_current_tcb");
+    a.lw(T2, 0, T1);
+    if (params_.unit.sched) {
+        a.lw(T3, kTcbId, T2);
+        a.rtuRmTask(T3);
+    } else {
+        inlineListRemove(T2, T3, T4);
+    }
+    a.addi(T3, A0, sentinel_offset);
+    inlineEventInsert(T3, T2, T4, T5, T6, unique);
+    inlineRaiseMsip(T4, T5);
+    a.csrrsi(Zero, csr::kMstatus, 8);
+    a.ret();
+}
+
+void
+KernelBuilder::emitMakeReady(const std::string &unique,
+                             const std::string &no_preempt)
+{
+    Assembler &a = asm_;
+    // t1 = woken TCB, already off its event list.
+    if (params_.unit.sched) {
+        a.lw(T2, kTcbId, T1);
+        a.lw(T3, kTcbPrio, T1);
+        a.rtuAddReady(T2, T3);
+    } else {
+        inlineReadyInsert(T1, T2, T3, T4, unique);
+    }
+    if (!no_preempt.empty()) {
+        // Preempt if the woken task outranks the caller.
+        a.la(T2, "k_current_tcb");
+        a.lw(T3, 0, T2);
+        a.lw(T4, kTcbPrio, T3);
+        a.lw(T5, kTcbPrio, T1);
+        a.bge(T4, T5, no_preempt);
+        inlineRaiseMsip(T2, T6);
+        a.label(no_preempt);
+        a.csrrsi(Zero, csr::kMstatus, 8);
+    }
+    a.ret();
+}
+
+void
+KernelBuilder::emitSemGive(bool from_isr)
+{
+    Assembler &a = asm_;
+    // An ISR-context give runs with MIE already 0 and skips the
+    // self-preemption check (the ISR reschedules right after).
+    const std::string wake = from_isr ? "k_sgi_wake" : "k_sem_wake";
+    a.fnBegin(from_isr ? "k_sem_give_isr" : "k_sem_give");
+    if (!from_isr)
+        a.csrrci(Zero, csr::kMstatus, 8);
+    a.addi(T0, A0, kSemSentinel);
+    a.lw(T1, kTcbNext, T0);
+    a.bne(T1, T0, wake);
+    a.lw(T2, kSemCount, A0);
+    a.addi(T2, T2, 1);
+    a.sw(T2, kSemCount, A0);
+    if (!from_isr)
+        a.csrrsi(Zero, csr::kMstatus, 8);
+    a.ret();
+    a.label(wake);
+    inlineListRemove(T1, T2, T3);
+    if (from_isr)
+        emitMakeReady("sgi", "");
+    else
+        emitMakeReady("sg", "k_sem_nopre");
+    a.fnEnd();
+}
 
 void
 KernelBuilder::emitTaskApi()
@@ -717,23 +759,7 @@ KernelBuilder::emitTaskApi()
         a.lw(T3, 0, T2);
         a.add(T3, T3, A0);
         a.sw(T3, kTcbWake, T1);
-        inlineListRemove(T1, T4, T5);
-        // Wake-time-sorted insert into the delay list.
-        a.la(T4, "k_delay_sentinel");
-        a.lw(T5, kTcbNext, T4);
-        a.label("k_delay_loop");
-        a.beq(T5, T4, "k_delay_ins");
-        a.lw(T6, kTcbWake, T5);
-        a.bltu(T3, T6, "k_delay_ins");
-        a.lw(T5, kTcbNext, T5);
-        a.loopBound(kMaxTasks);
-        a.j("k_delay_loop");
-        a.label("k_delay_ins");
-        a.lw(T6, kTcbPrev, T5);
-        a.sw(T5, kTcbNext, T1);
-        a.sw(T6, kTcbPrev, T1);
-        a.sw(T1, kTcbNext, T6);
-        a.sw(T1, kTcbPrev, T5);
+        inlineDelayInsert("k_delay");
     }
     inlineRaiseMsip(T4, T5);
     a.csrrsi(Zero, csr::kMstatus, 8);  // interrupt fires here
@@ -762,23 +788,7 @@ KernelBuilder::emitTaskApi()
         } else {
             a.sw(A0, kTcbWake, T1);
             a.mv(T3, A0);
-            inlineListRemove(T1, T4, T5);
-            // Wake-time-sorted insert, same shape as k_delay.
-            a.la(T4, "k_delay_sentinel");
-            a.lw(T5, kTcbNext, T4);
-            a.label("k_duntil_loop");
-            a.beq(T5, T4, "k_duntil_ins");
-            a.lw(T6, kTcbWake, T5);
-            a.bltu(T3, T6, "k_duntil_ins");
-            a.lw(T5, kTcbNext, T5);
-            a.loopBound(kMaxTasks);
-            a.j("k_duntil_loop");
-            a.label("k_duntil_ins");
-            a.lw(T6, kTcbPrev, T5);
-            a.sw(T5, kTcbNext, T1);
-            a.sw(T6, kTcbPrev, T1);
-            a.sw(T1, kTcbNext, T6);
-            a.sw(T1, kTcbPrev, T5);
+            inlineDelayInsert("k_duntil");
         }
         inlineRaiseMsip(T4, T5);
         a.label("k_duntil_now");
@@ -798,20 +808,7 @@ KernelBuilder::emitTaskApi()
     a.csrrsi(Zero, csr::kMstatus, 8);
     a.ret();
     a.label("k_mtx_block");
-    a.la(T1, "k_current_tcb");
-    a.lw(T2, 0, T1);
-    if (hw) {
-        a.lw(T3, kTcbId, T2);
-        a.rtuRmTask(T3);
-    } else {
-        inlineListRemove(T2, T3, T4);
-    }
-    a.addi(T3, A0, kMutexSentinel);
-    inlineEventInsert(T3, T2, T4, T5, T6, "mtx");
-    inlineRaiseMsip(T4, T5);
-    a.csrrsi(Zero, csr::kMstatus, 8);
-    // Resumed here as the owner (ownership handed over by the giver).
-    a.ret();
+    emitBlockOnEvent(kMutexSentinel, "mtx");
     a.fnEnd();
 
     // -- k_mutex_give(a0 = mutex) ---------------------------------------------
@@ -825,24 +822,8 @@ KernelBuilder::emitTaskApi()
     a.ret();
     a.label("k_mtx_wake");
     inlineListRemove(T1, T2, T3);
-    a.sw(T1, kMutexOwner, A0);
-    if (hw) {
-        a.lw(T2, kTcbId, T1);
-        a.lw(T3, kTcbPrio, T1);
-        a.rtuAddReady(T2, T3);
-    } else {
-        inlineReadyInsert(T1, T2, T3, T4, "mg");
-    }
-    // Preempt if the woken waiter outranks us.
-    a.la(T2, "k_current_tcb");
-    a.lw(T3, 0, T2);
-    a.lw(T4, kTcbPrio, T3);
-    a.lw(T5, kTcbPrio, T1);
-    a.bge(T4, T5, "k_mtx_nopre");
-    inlineRaiseMsip(T2, T6);
-    a.label("k_mtx_nopre");
-    a.csrrsi(Zero, csr::kMstatus, 8);
-    a.ret();
+    a.sw(T1, kMutexOwner, A0);  // ownership passes to the waiter
+    emitMakeReady("mg", "k_mtx_nopre");
     a.fnEnd();
 
     // -- k_sem_take(a0 = sem) ----------------------------------------------------
@@ -855,79 +836,11 @@ KernelBuilder::emitTaskApi()
     a.csrrsi(Zero, csr::kMstatus, 8);
     a.ret();
     a.label("k_sem_block");
-    a.la(T1, "k_current_tcb");
-    a.lw(T2, 0, T1);
-    if (hw) {
-        a.lw(T3, kTcbId, T2);
-        a.rtuRmTask(T3);
-    } else {
-        inlineListRemove(T2, T3, T4);
-    }
-    a.addi(T3, A0, kSemSentinel);
-    inlineEventInsert(T3, T2, T4, T5, T6, "sem");
-    inlineRaiseMsip(T4, T5);
-    a.csrrsi(Zero, csr::kMstatus, 8);
-    a.ret();
+    emitBlockOnEvent(kSemSentinel, "sem");
     a.fnEnd();
 
     // -- k_sem_give(a0 = sem), task context ------------------------------------
-    a.fnBegin("k_sem_give");
-    a.csrrci(Zero, csr::kMstatus, 8);
-    a.addi(T0, A0, kSemSentinel);
-    a.lw(T1, kTcbNext, T0);
-    a.bne(T1, T0, "k_sem_wake");
-    a.lw(T2, kSemCount, A0);
-    a.addi(T2, T2, 1);
-    a.sw(T2, kSemCount, A0);
-    a.csrrsi(Zero, csr::kMstatus, 8);
-    a.ret();
-    a.label("k_sem_wake");
-    inlineListRemove(T1, T2, T3);
-    if (hw) {
-        a.lw(T2, kTcbId, T1);
-        a.lw(T3, kTcbPrio, T1);
-        a.rtuAddReady(T2, T3);
-    } else {
-        inlineReadyInsert(T1, T2, T3, T4, "sg");
-    }
-    a.la(T2, "k_current_tcb");
-    a.lw(T3, 0, T2);
-    a.lw(T4, kTcbPrio, T3);
-    a.lw(T5, kTcbPrio, T1);
-    a.bge(T4, T5, "k_sem_nopre");
-    inlineRaiseMsip(T2, T6);
-    a.label("k_sem_nopre");
-    a.csrrsi(Zero, csr::kMstatus, 8);
-    a.ret();
-    a.fnEnd();
-}
-
-void
-KernelBuilder::emitSemGiveIsr()
-{
-    Assembler &a = asm_;
-    const bool hw = params_.unit.sched;
-    // ISR-context give: no critical section (MIE is already 0), no
-    // self-preemption (the ISR reschedules right after).
-    a.fnBegin("k_sem_give_isr");
-    a.addi(T0, A0, kSemSentinel);
-    a.lw(T1, kTcbNext, T0);
-    a.bne(T1, T0, "k_sgi_wake");
-    a.lw(T2, kSemCount, A0);
-    a.addi(T2, T2, 1);
-    a.sw(T2, kSemCount, A0);
-    a.ret();
-    a.label("k_sgi_wake");
-    inlineListRemove(T1, T2, T3);
-    if (hw) {
-        a.lw(T2, kTcbId, T1);
-        a.lw(T3, kTcbPrio, T1);
-        a.rtuAddReady(T2, T3);
-    } else {
-        inlineReadyInsert(T1, T2, T3, T4, "sgi");
-    }
-    a.ret();
-    a.fnEnd();
+    emitSemGive(/*from_isr=*/false);
 }
 
 // ---- tasks -----------------------------------------------------------------
@@ -954,9 +867,7 @@ KernelBuilder::emitTaskBodies()
         // A task body must never fall through; trap loudly if it does.
         const std::string trap = csprintf("k_task_end_%u", i);
         a.label(trap);
-        a.li(T0, static_cast<SWord>(memmap::kHostExit));
-        a.li(T1, 0xDEAD);
-        a.sw(T1, 0, T0);
+        emitExit(0xDEAD);
         a.j(trap);
         a.fnEnd();
     }
@@ -1110,64 +1021,12 @@ KernelBuilder::emitBusyDivLoop(Word iterations)
     a.bnez(T0, loop);
 }
 
-// ---- derived stack sizing ---------------------------------------------------
-
-void
-KernelBuilder::deriveStackSizes()
-{
-    // Generate a throwaway copy of this exact kernel with the fixed
-    // stack layout and measure it. The probe shares every parameter
-    // except the derived-sizing flag, so the measured depths apply to
-    // the final image verbatim (stack capacity does not change code).
-    KernelBuilder probe(*this);
-    probe.params_.useDerivedStackSize = false;
-    const Program program = probe.build();
-
-    const Cfg cfg(program);
-    WcsuAnalyzer wcsu(cfg);
-    wcsu.run();
-
-    const unsigned add_on = wcsu.isrAddOn();
-    auto sizeFor = [&](const std::string &task_name) -> unsigned {
-        unsigned bytes = wcsu.entryDepth("k_task_" + task_name) +
-                         add_on + params_.stackMarginBytes;
-        // The boot-time initial frame must always fit.
-        bytes = std::max(bytes, static_cast<unsigned>(kFrameBytes));
-        return (bytes + 15u) & ~15u;
-    };
-
-    derivedStackBytes_.clear();
-    derivedStackBytes_.push_back(sizeFor("idle"));
-    for (const TaskSpec &t : tasks_)
-        derivedStackBytes_.push_back(sizeFor(t.name));
-
-    // If the walk hit its state budget the depths are lower bounds,
-    // not worst cases: fall back to the fixed layout.
-    if (!wcsu.converged())
-        derivedStackBytes_.assign(derivedStackBytes_.size(),
-                                  kTaskStackBytes);
-}
-
-unsigned
-KernelBuilder::taskStackBytes(unsigned task_index) const
-{
-    if (task_index < derivedStackBytes_.size())
-        return derivedStackBytes_[task_index];
-    return kTaskStackBytes;
-}
-
 // ---- build ------------------------------------------------------------------
 
 Program
 KernelBuilder::build()
 {
     rtu_assert(!built_, "build() called twice");
-
-    // Probe pass for derived stack sizing: measure the worst-case
-    // stack depths on a fixed-size build of this exact kernel before
-    // the idle task is inserted (the probe re-inserts its own copy).
-    if (params_.useDerivedStackSize && derivedStackBytes_.empty())
-        deriveStackSizes();
 
     TaskSpec idle;
     idle.name = "idle";
@@ -1186,7 +1045,7 @@ KernelBuilder::build()
         emitTickHandler();
     }
     emitTaskApi();
-    emitSemGiveIsr();
+    emitSemGive(/*from_isr=*/true);
     emitIdleTask();
     emitTaskBodies();
 

@@ -49,6 +49,11 @@ struct TaskSpec
     std::function<void(KernelBuilder &)> body;
 };
 
+/**
+ * Generation-time kernel parameters. Every task stack is a fixed
+ * kTaskStackBytes region; rtu_lint's worst-case stack-usage pass
+ * checks each task's depth against that capacity.
+ */
 struct KernelParams
 {
     RtosUnitConfig unit;
@@ -63,21 +68,6 @@ struct KernelParams
      * existing benches/tests generate stays byte-identical.
      */
     bool usesDelayUntil = false;
-    /**
-     * Size each task stack from the worst-case stack-usage analysis
-     * (src/analyze/absint/wcsu.hh) instead of the fixed
-     * kTaskStackBytes: build() first generates a probe image with
-     * fixed stacks, measures every task's depth plus the ISR add-on,
-     * and re-emits with per-task capacities of
-     * depth + add-on + stackMarginBytes (16-byte aligned, floored at
-     * kFrameBytes so the boot-time initial frame always fits). The
-     * overflow-canary oracle keys off the k_stack_%u symbols and
-     * follows the resized regions automatically. Default off: images
-     * stay byte-identical to the fixed-size layout.
-     */
-    bool useDerivedStackSize = false;
-    /** Safety margin added to every derived stack size. */
-    unsigned stackMarginBytes = 64;
 };
 
 class KernelBuilder
@@ -151,33 +141,41 @@ class KernelBuilder
     void emitIsr();
     void emitIsrVanillaFamily();
     void emitIsrStoreFamily();
+    /** Cause dispatch and the timer/MSIP/ext bodies under @p prefix,
+     *  joining at @p prefix _select into emitSelectAndPublish(). */
+    void emitIsrCauses(const std::string &prefix);
+    /** Pick the next task (a0 = TCB, a2 = id) and publish it. */
+    void emitSelectAndPublish();
     void emitSwSaveFrame(bool hw_saves_upper_half);
     void emitSwRestoreFrameAndRet();
     void emitSwRestoreCtxAndRet();
-    void emitCauseDispatch(const std::string &prefix);
     void emitSelect();
     void emitTickHandler();
     void emitTaskApi();
-    void emitSemGiveIsr();
+    void emitBlockOnEvent(SWord sentinel_offset, const std::string &unique);
+    /** Ready the woken TCB in t1, then (unless @p no_preempt is empty)
+     *  preempt the caller if it is outranked; returns. */
+    void emitMakeReady(const std::string &unique,
+                       const std::string &no_preempt);
+    void emitSemGive(bool from_isr);
     void emitIdleTask();
     void emitTaskBodies();
 
     // Inline primitives (register conventions documented in kernel.cc).
+    void inlineListInit(Reg sentinel);
     void inlineListRemove(Reg node, Reg t_a, Reg t_b);
-    void inlineListInsertEnd(Reg sentinel, Reg node, Reg t_a);
+    void inlineInsertBefore(Reg pos, Reg node, Reg t_a);
     void inlineReadyInsert(Reg node, Reg t_a, Reg t_b, Reg t_c,
                            const std::string &unique);
     void inlineEventInsert(Reg sentinel_base, Reg node, Reg t_a, Reg t_b,
                            Reg t_c, const std::string &unique);
+    void inlineDelayInsert(const std::string &prefix);
     void inlineRaiseMsip(Reg t_a, Reg t_b);
+    void inlineTickBump();
+    void inlineCtxToMscratch();
 
     std::string tcbSym(unsigned task_index) const;
     std::string stackTopSym(unsigned task_index) const;
-
-    /** Probe-build + WCSU pass filling derivedStackBytes_. */
-    void deriveStackSizes();
-    /** Stack capacity of task @p task_index in bytes. */
-    unsigned taskStackBytes(unsigned task_index) const;
 
     KernelParams params_;
     Assembler asm_;
@@ -186,7 +184,6 @@ class KernelBuilder
     std::vector<std::string> semaphores_;
     std::vector<Word> semInitials_;
     std::vector<Word> hwSemInitials_;
-    std::vector<unsigned> derivedStackBytes_;  ///< by final task index
     bool built_ = false;
     unsigned uniqueCounter_ = 0;
 };

@@ -3,7 +3,7 @@
  * Binary layout contract of the generated microFreeRTOS kernel:
  * TCB field offsets, stack-frame and context-region slot assignment,
  * and kernel sizing constants. Shared between the kernel generator,
- * the RTOSUnit (context word order), tests and the WCET analyzer.
+ * the RTOSUnit (context word order), tests and the WCET analysis.
  */
 
 #ifndef RTU_KERNEL_LAYOUT_HH

@@ -8,8 +8,11 @@ void
 Cv32rtUnit::onTrapEntry(Word cause)
 {
     (void)cause;
-    rtu_assert(!drainBusy(), "interrupt re-entered while the CV32RT "
-               "drain is still in flight");
+    // Only an ISR that returns without its SWITCH_RF barrier can trap
+    // again before the snapshot has drained.
+    if (drainBusy())
+        guest_fault("interrupt re-entered while the CV32RT drain is "
+                    "still in flight");
     // Single-cycle parallel snapshot of the upper register-file half.
     for (unsigned i = 0; i < kSnapWords; ++i) {
         snapshot_[i] = state_.bankReg(

@@ -36,8 +36,9 @@ HwListBase::insertSlot(const HwSlot &slot)
             return;
         }
     }
-    fatal("hardware list overflow (%u slots); the paper's fallback to "
-          "software scheduling is out of scope", capacity());
+    // The guest asked for more entries than the list has slots (the
+    // paper's fallback to software scheduling is out of scope).
+    guest_fault("hardware list overflow (%u slots)", capacity());
 }
 
 void
@@ -113,8 +114,8 @@ HwReadyList::popHeadRoundRobin(Priority *prio)
     rtu_assert(!sorting(), "ready-list head sampled while sorting");
     HwSlot &head = slots_[0];
     if (!head.valid)
-        fatal("hardware ready list empty: no runnable task (the kernel "
-              "must keep the idle task ready)");
+        guest_fault("hardware ready list empty: no runnable task (the "
+                    "kernel must keep the idle task ready)");
     const TaskId id = head.id;
     if (prio)
         *prio = head.prio;

@@ -88,6 +88,8 @@ RtosUnit::addDelay(Word prio, Word ticks)
 void
 RtosUnit::rmTask(Word id)
 {
+    if (id >= memmap::kCtxMaxTasks)
+        guest_fault("RM_TASK task id %u out of range", id);
     ready_.remove(static_cast<TaskId>(id));
     delay_.remove(static_cast<TaskId>(id));
     for (HwSemaphore &s : sems_)
@@ -206,8 +208,10 @@ RtosUnit::onMretExecuted()
 void
 RtosUnit::startStoreFsm()
 {
-    rtu_assert(!storeActive_ && !restoreActive_ && !restorePending_,
-               "context switch episode while FSMs are busy");
+    // An ISR that re-enables interrupts, or a trap taken while a
+    // restore the guest requested is still in flight, re-enters here.
+    if (storeActive_ || restoreActive_ || restorePending_)
+        guest_fault("trap taken while the context FSMs are busy");
     storeActive_ = true;
     storeIdx_ = 0;
     storeTask_ = currentCtxId_;
@@ -322,7 +326,8 @@ RtosUnit::scheduleRestore(TaskId id)
         notifyPhase(SwitchPhase::kLoadDone);
         return;
     }
-    rtu_assert(!restoreActive_, "restore scheduled while one is running");
+    if (restoreActive_)
+        guest_fault("context restore requested while one is running");
     restorePending_ = true;
     restoreTask_ = id;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "common/rng.hh"
 #include "harness/experiment.hh"
 #include "sim/memmap.hh"
 
@@ -203,6 +204,11 @@ TEST(GuestOperand, AddReadyOutOfRangeIsAGuestFault)
                      "ADD_READY");
 }
 
+TEST(GuestOperand, RmTaskOutOfRangeIsAGuestFault)
+{
+    expectGuestFault([](Assembler &a) { a.rtuRmTask(T0); }, "RM_TASK");
+}
+
 TEST(GuestOperand, SemTakeOutOfRangeIsAGuestFault)
 {
     expectGuestFault([](Assembler &a) { a.rtuSemTake(T1, T0); },
@@ -241,6 +247,213 @@ TEST(GuestOperand, ZeroTickAddDelayIsAGuestFault)
     expectFaultingRun(
         guestProgram(0, [](Assembler &a) { a.rtuAddDelay(Zero, T0); }),
         RtosUnitConfig::fromName("T"), "ADD_DELAY of zero ticks");
+}
+
+TEST(GuestOperand, HwListOverflowIsAGuestFault)
+{
+    // Nine entries into eight slots, through either list.
+    expectFaultingRun(guestProgram(1,
+                                   [](Assembler &a) {
+                                       for (unsigned i = 0; i < 9; ++i)
+                                           a.rtuAddReady(T0, T0);
+                                   }),
+                      RtosUnitConfig::fromName("T"),
+                      "hardware list overflow (8 slots)");
+    expectFaultingRun(guestProgram(1,
+                                   [](Assembler &a) {
+                                       for (unsigned i = 0; i < 9; ++i)
+                                           a.rtuAddDelay(T0, T0);
+                                   }),
+                      RtosUnitConfig::fromName("T"),
+                      "hardware list overflow (8 slots)");
+}
+
+TEST(GuestOperand, GetHwSchedOnEmptyReadyListIsAGuestFault)
+{
+    expectFaultingRun(
+        guestProgram(0, [](Assembler &a) { a.rtuGetHwSched(T1); }),
+        RtosUnitConfig::fromName("T"), "hardware ready list empty");
+}
+
+TEST(GuestOperand, SetContextIdDuringARestoreIsAGuestFault)
+{
+    expectFaultingRun(guestProgram(1,
+                                   [](Assembler &a) {
+                                       a.rtuSetContextId(T0);
+                                       a.li(T0, 2);
+                                       a.rtuSetContextId(T0);
+                                   }),
+                      RtosUnitConfig::fromName("SL"),
+                      "context restore requested while one is running");
+}
+
+/** Set up a stack, trap to the label "isr" and enable MSIP. */
+void
+emitInterruptSetup(Assembler &a)
+{
+    a.dataWord("currentTaskId", 0);
+    // CV32RT drains its snapshot into a frame below sp.
+    a.dataArray("stack", 64);
+    a.dataWord("stack_top");
+    a.la(SP, "stack_top");
+    a.la(T0, "isr");
+    a.csrw(csr::kMtvec, T0);
+    a.li(T0, static_cast<SWord>(irq::kMsi));
+    a.csrw(csr::kMie, T0);
+}
+
+/** An ISR that re-enables interrupts while MSIP is still pending, so
+ *  a second trap arrives while the unit still handles the first. */
+Program
+nestedTrapProgram()
+{
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    emitInterruptSetup(a);
+    a.li(T0, static_cast<SWord>(memmap::kClintMsip));
+    a.li(T1, 1);
+    a.sw(T1, 0, T0);
+    a.csrrsi(Zero, csr::kMstatus, 8);
+    a.label("end");
+    a.j("end");
+    a.label("isr");
+    a.csrrsi(Zero, csr::kMstatus, 8);
+    a.mret();
+    return a.finish();
+}
+
+TEST(GuestOperand, NestedTrapDuringTheStoreDrainIsAGuestFault)
+{
+    for (const char *config : {"S", "SLT"}) {
+        SCOPED_TRACE(config);
+        expectFaultingRun(nestedTrapProgram(),
+                          RtosUnitConfig::fromName(config),
+                          "trap taken while the context FSMs are busy");
+    }
+}
+
+TEST(GuestOperand, NestedTrapDuringTheCv32rtDrainIsAGuestFault)
+{
+    expectFaultingRun(nestedTrapProgram(), RtosUnitConfig::fromName("CV32RT"),
+                      "interrupt re-entered while the CV32RT drain");
+}
+
+/**
+ * One fuzzed RTOSUnit operand: usually in [lo, hi] (a valid task id,
+ * priority, tick count or semaphore id), one time in eight a wild
+ * value — zero, small, the context-region edge, 0x101 or -1.
+ */
+SWord
+fuzzOperand(SplitMix64 &rng, unsigned lo, unsigned hi)
+{
+    static constexpr SWord kWild[] = {0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                      31, 32, 0x101, -1};
+    if (rng.next() % 8 == 0)
+        return kWild[rng.next() % std::size(kWild)];
+    return static_cast<SWord>(lo + rng.next() % (hi - lo + 1));
+}
+
+/**
+ * A random sequence of all eight custom instructions with fuzzed
+ * operands, interleaved with MSIP raises and MIE set/clear; the ISR
+ * only acks MSIP. With @p boot_tasks, the unit's ready list first
+ * holds 0..8 tasks, as after a kernel's boot, so that sequences reach
+ * full lists as well as empty ones. Ends in a clean exit if nothing
+ * faults.
+ */
+Program
+fuzzProgram(std::uint64_t seed, bool boot_tasks)
+{
+    constexpr unsigned kSteps = 24;
+    SplitMix64 rng(seed);
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    emitInterruptSetup(a);
+    const unsigned booted = boot_tasks ? rng.next() % 9 : 0;
+    for (unsigned i = 0; i < booted; ++i) {
+        a.li(T0, static_cast<SWord>(i));
+        a.li(T1, static_cast<SWord>(rng.next() % 8));
+        a.rtuAddReady(T0, T1);
+    }
+    for (unsigned i = 0; i < kSteps; ++i) {
+        const SWord id = fuzzOperand(rng, 0, 7);
+        switch (rng.next() % 11) {
+          case 0:
+            a.li(T0, id);
+            a.rtuSetContextId(T0);
+            break;
+          case 1: a.rtuGetHwSched(T2); break;
+          case 2:
+            a.li(T0, id);
+            a.li(T1, fuzzOperand(rng, 0, 7));
+            a.rtuAddReady(T0, T1);
+            break;
+          case 3:
+            a.li(T0, fuzzOperand(rng, 0, 7));
+            a.li(T1, fuzzOperand(rng, 1, 8));
+            a.rtuAddDelay(T0, T1);
+            break;
+          case 4:
+            a.li(T0, id);
+            a.rtuRmTask(T0);
+            break;
+          case 5: a.rtuSwitchRf(); break;
+          case 6:
+            a.li(T0, fuzzOperand(rng, 0, 3));
+            a.rtuSemTake(T2, T0);
+            break;
+          case 7:
+            a.li(T0, fuzzOperand(rng, 0, 3));
+            a.rtuSemGive(T2, T0);
+            break;
+          case 8:
+            a.li(T3, static_cast<SWord>(memmap::kClintMsip));
+            a.li(T4, 1);
+            a.sw(T4, 0, T3);
+            break;
+          case 9: a.csrrsi(Zero, csr::kMstatus, 8); break;
+          default: a.csrrci(Zero, csr::kMstatus, 8); break;
+        }
+    }
+    a.li(T0, static_cast<SWord>(memmap::kHostExit));
+    a.sw(Zero, 0, T0);
+    a.label("end");
+    a.j("end");
+    a.label("isr");
+    a.li(T5, static_cast<SWord>(memmap::kClintMsip));
+    a.sw(Zero, 0, T5);
+    a.mret();
+    return a.finish();
+}
+
+TEST(OperandFuzz, EveryRunEndsInARunStatus)
+{
+    constexpr unsigned kSeeds = 200;
+    std::vector<RtosUnitConfig> units = RtosUnitConfig::paperConfigs();
+    for (const char *name : {"ST", "SDLOT", "SPLIT"}) {
+        RtosUnitConfig u = RtosUnitConfig::fromName(name);
+        u.hwsync = true;
+        units.push_back(u);
+    }
+
+    // Reaching the counts at all is the property: a host abort ends
+    // the test binary instead.
+    std::map<RunStatus, unsigned> outcomes;
+    for (CoreKind core :
+         {CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax}) {
+        for (const RtosUnitConfig &unit : units) {
+            for (unsigned seed = 0; seed < kSeeds; ++seed) {
+                const Program program = fuzzProgram(seed, unit.sched);
+                SimConfig sc;
+                sc.core = core;
+                sc.unit = unit;
+                sc.maxCycles = 5000;
+                Simulation sim(sc, program);
+                sim.run();
+                ++outcomes[sim.status()];
+            }
+        }
+    }
+    EXPECT_GT(outcomes[RunStatus::kExited], 0u);
+    EXPECT_GT(outcomes[RunStatus::kGuestFault], 0u);
 }
 
 /** One load or store (through t0 = @p addr) that the device at

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "rtosunit/hw_lists.hh"
 
 namespace rtu {
@@ -89,13 +90,13 @@ TEST(HwReadyListDeath, OverflowIsFatal)
     HwReadyList list(2);
     list.insert(1, 1);
     list.insert(2, 1);
-    EXPECT_DEATH(list.insert(3, 1), "overflow");
+    EXPECT_THROW(list.insert(3, 1), GuestFault);
 }
 
 TEST(HwReadyListDeath, PopEmptyIsFatal)
 {
     HwReadyList list(4);
-    EXPECT_DEATH(list.popHeadRoundRobin(), "empty");
+    EXPECT_THROW(list.popHeadRoundRobin(), GuestFault);
 }
 
 TEST(HwDelayList, ExpiryMigratesToReadyList)
