@@ -98,7 +98,7 @@ main(int argc, char **argv)
     parser.addString("--workloads", &workloads_arg,
                      "comma list (default: standard suite)");
     parser.addUnsigned("--iterations", &spec.iterations,
-                       "workload iterations per run");
+                       "workload iterations per run", 1);
     parser.addUnsigned("--threads", &spec.threads, "worker threads");
     parser.addString("--objectives", &objectives_arg,
                      "comma list (default lat_mean,jitter,area)");

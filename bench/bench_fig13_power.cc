@@ -35,7 +35,7 @@ main(int argc, char **argv)
     ArgParser parser("Figure 13: average power on mutex_workload "
                      "(22 nm model)");
     parser.addUnsigned("--iterations", &iterations,
-                       "workload iterations per run");
+                       "workload iterations per run", 1);
     parser.addUnsigned("--threads", &threads, "worker threads");
     parser.addString("--out", &out_path, "JSONL output path");
     parser.parse(argc, argv);

@@ -56,7 +56,7 @@ main(int argc, char **argv)
     ArgParser parser("Figure 9: context-switch latency per core and "
                      "RTOSUnit configuration");
     parser.addUnsigned("--iterations", &iterations,
-                       "workload iterations per run");
+                       "workload iterations per run", 1);
     parser.addUnsigned("--threads", &threads, "worker threads");
     parser.addString("--out", &out_path, "JSONL output path");
     parser.addString("--trace", &trace_path,

@@ -220,7 +220,7 @@ main(int argc, char **argv)
     parser.addString("--workloads", &workloads_arg,
                      "comma list of workloads");
     parser.addUnsigned("--iterations", &iterations,
-                       "workload iterations per run");
+                       "workload iterations per run", 1);
     parser.addUnsigned("--timer-period", &timer_period,
                        "preemption timer period in cycles");
     parser.addUnsigned("--faults", &faults,

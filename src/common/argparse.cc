@@ -28,9 +28,10 @@ ArgParser::addFlag(const std::string &name, bool *dst,
 
 void
 ArgParser::addUnsigned(const std::string &name, unsigned *dst,
-                       const std::string &help)
+                       const std::string &help, unsigned min)
 {
     add(name, Kind::kUnsigned, dst, help);
+    options_.back().min = min;
 }
 
 void
@@ -134,6 +135,10 @@ ArgParser::parse(int argc, char **argv)
             if (end == value.c_str() || *end != '\0')
                 fail(prog, "option '" + arg + "': bad number '" +
                            value + "'");
+            if (v < opt->min)
+                fail(prog, "option '" + arg + "': must be at least " +
+                           std::to_string(opt->min) + ", got '" + value +
+                           "'");
             *static_cast<unsigned *>(opt->dst) =
                 static_cast<unsigned>(v);
             break;

@@ -33,9 +33,10 @@ class ArgParser
     void addFlag(const std::string &name, bool *dst,
                  const std::string &help);
 
-    /** Valued options; each consumes the following argv element. */
+    /** Valued options; each consumes the following argv element.
+     *  An unsigned value below @p min is a usage error. */
     void addUnsigned(const std::string &name, unsigned *dst,
-                     const std::string &help);
+                     const std::string &help, unsigned min = 0);
     void addU64(const std::string &name, std::uint64_t *dst,
                 const std::string &help);
     void addDouble(const std::string &name, double *dst,
@@ -49,10 +50,10 @@ class ArgParser
 
     /**
      * Parse argv. On success returns true. On `--help`, prints usage
-     * to stdout and exits 0. On an unknown flag, a missing value, or
-     * an unparsable number, prints the error and usage to stderr and
-     * exits 1 (bench mains have no recovery path — failing loudly is
-     * the point).
+     * to stdout and exits 0. On an unknown flag, a missing value, an
+     * unparsable number or one below its minimum, prints the error and
+     * usage to stderr and exits 1 (bench mains have no recovery path —
+     * failing loudly is the point).
      */
     bool parse(int argc, char **argv);
 
@@ -69,6 +70,7 @@ class ArgParser
         Kind kind;
         void *dst;
         std::string help;
+        unsigned min = 0;  ///< kUnsigned only
     };
 
     void add(const std::string &name, Kind kind, void *dst,

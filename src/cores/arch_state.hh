@@ -31,10 +31,6 @@ struct Csrs
     Word mepc = 0;
     Word mcause = 0;
     Word mtval = 0;
-
-    // Equality is used by the idle-stride detector to prove that a
-    // loop iteration restored the full machine state.
-    bool operator==(const Csrs &) const = default;
 };
 
 class ArchState

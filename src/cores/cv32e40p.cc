@@ -45,181 +45,6 @@ Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res) const
     }
 }
 
-namespace {
-
-/** Instruction classes whose execution touches nothing outside the
- *  register file: safe inside a provably-periodic loop. Memory ops are
- *  excluded deliberately — the RTOSUnit FSMs can rewrite data memory
- *  without the core noticing, which would silently break periodicity. */
-bool
-stridePure(InsnClass cls)
-{
-    switch (cls) {
-      case InsnClass::kAlu:
-      case InsnClass::kMul:
-      case InsnClass::kDiv:
-      case InsnClass::kBranch:
-      case InsnClass::kJump:
-        return true;
-      default:
-        return false;
-    }
-}
-
-CoreStats
-statsDelta(const CoreStats &a, const CoreStats &b)
-{
-    CoreStats d;
-    for (const auto &row : kCoreStatsTable)
-        d.*row.member = a.*row.member - b.*row.member;
-    return d;
-}
-
-void
-statsAccumulate(CoreStats &s, const CoreStats &d, std::uint64_t k)
-{
-    for (const auto &row : kCoreStatsTable)
-        s.*row.member += k * d.*row.member;
-}
-
-} // namespace
-
-Cv32e40pCore::CoreSnapshot
-Cv32e40pCore::captureSnapshot() const
-{
-    CoreSnapshot s;
-    for (unsigned bank = 0; bank < 2; ++bank) {
-        s.banks[bank][0] = 0;
-        for (RegIndex r = 1; r < 32; ++r)
-            s.banks[bank][r] = state_.bankReg(bank, r);
-    }
-    for (RegIndex r = 0; r < 32; ++r)
-        s.dirty[r] = state_.regDirty(r);
-    s.activeBank = state_.activeBank();
-    s.pc = state_.pc();
-    s.csrs = state_.csrs;
-    s.lastWasLoad = lastWasLoad_;
-    s.lastLoadRd = lastLoadRd_;
-    s.divOperandBits = divOperandBits_;
-    return s;
-}
-
-const Cv32e40pCore::StrideSlot *
-Cv32e40pCore::findSlot(Addr target) const
-{
-    for (const StrideSlot &slot : slots_) {
-        if (slot.valid && slot.target == target)
-            return &slot;
-    }
-    return nullptr;
-}
-
-Cv32e40pCore::StrideSlot *
-Cv32e40pCore::findSlot(Addr target)
-{
-    for (StrideSlot &slot : slots_) {
-        if (slot.valid && slot.target == target)
-            return &slot;
-    }
-    return nullptr;
-}
-
-void
-Cv32e40pCore::strideAnchor(Addr target, Cycle now)
-{
-    if (StrideSlot *slot = findSlot(target)) {
-        slot->lastTouch = now;
-        return;
-    }
-    StrideSlot *victim = &slots_[0];
-    for (StrideSlot &slot : slots_) {
-        if (!slot.valid) {
-            victim = &slot;
-            break;
-        }
-        if (slot.lastTouch < victim->lastTouch)
-            victim = &slot;
-    }
-    *victim = StrideSlot{};
-    victim->valid = true;
-    victim->target = target;
-    victim->lastTouch = now;
-}
-
-void
-Cv32e40pCore::strideVisit(Addr pc, Cycle now)
-{
-    StrideSlot *slot = findSlot(pc);
-    if (!slot || slot->dead)
-        return;
-    slot->lastTouch = now;
-    // Cheap pre-check: an iteration that bumped the purity epoch can
-    // never confirm — count the miss without paying for a snapshot.
-    if (slot->armed && slot->epoch != strideEpoch_ &&
-        ++slot->misses >= kStrideMaxMisses) {
-        slot->dead = true;
-        return;
-    }
-    CoreSnapshot snap = captureSnapshot();
-    if (slot->armed && slot->epoch == strideEpoch_ && snap == slot->snap) {
-        // A full loop period replayed the exact machine state with only
-        // pure instructions in between: execution from here is periodic
-        // until the next impure op or external input.
-        slot->confirmed = true;
-        slot->period = now - slot->cycle;
-        slot->delta = statsDelta(stats_, slot->statsAt);
-        slot->misses = 0;
-    } else {
-        // Pure but non-recurring state (a counting loop) also misses:
-        // one re-arm is expected (dirty bits stabilizing), endless
-        // re-arming means the state is monotonic and never recurs.
-        if (slot->armed && slot->epoch == strideEpoch_ &&
-            ++slot->misses >= kStrideMaxMisses) {
-            slot->dead = true;
-            return;
-        }
-        slot->armed = true;
-        slot->confirmed = false;
-        slot->epoch = strideEpoch_;
-        slot->snap = snap;
-    }
-    slot->cycle = now;
-    slot->statsAt = stats_;
-}
-
-Cycle
-Cv32e40pCore::stridePeriod(Cycle now) const
-{
-    (void)now;
-    if (remaining_ > 0 || sleeping_ || exec_.interruptReady())
-        return 0;
-    const StrideSlot *slot = findSlot(state_.pc());
-    if (!slot || !slot->confirmed || slot->epoch != strideEpoch_ ||
-        slot->period == 0) {
-        return 0;
-    }
-    // Re-verify the full state here rather than trusting the stale
-    // confirmation: anything that mutated the register banks since
-    // (e.g. an RTOSUnit restore FSM) voids the periodicity proof.
-    if (!(captureSnapshot() == slot->snap))
-        return 0;
-    return slot->period;
-}
-
-void
-Cv32e40pCore::applyStride(Cycle now, std::uint64_t periods)
-{
-    const StrideSlot *slot = findSlot(state_.pc());
-    rtu_assert(slot && slot->confirmed, "stride apply without confirmation");
-    statsAccumulate(stats_, slot->delta, periods);
-    // The architectural state is unchanged by definition of the
-    // period; only the visit bookkeeping moves forward.
-    StrideSlot *mut = findSlot(state_.pc());
-    mut->cycle = now + periods * mut->period;
-    mut->lastTouch = mut->cycle;
-    mut->statsAt = stats_;
-}
-
 Cycle
 Cv32e40pCore::nextEventAt(Cycle now) const
 {
@@ -256,8 +81,6 @@ Cv32e40pCore::skipTo(Cycle now, Cycle target)
 Cv32e40pCore::issue(const DecodedInsn &insn, Addr pc, Cycle now)
 {
     const InsnClass cls = insn.cls;
-    if (!stridePure(cls))
-        strideImpure();
 
     // Load-use hazard from the *dynamic* previous instruction: one
     // bubble when it was a load whose destination this one consumes.
@@ -283,7 +106,6 @@ Cv32e40pCore::issue(const DecodedInsn &insn, Addr pc, Cycle now)
     if (res.trap) {
         functionalTrap(res.trapCause, pc, now);
         remaining_ = params_.trapEntryCycles - 1;
-        strideImpure();
         return;
     }
 
@@ -313,11 +135,6 @@ Cv32e40pCore::issue(const DecodedInsn &insn, Addr pc, Cycle now)
         }
     }
 
-    // A retiring backward control transfer marks a loop top worth
-    // watching for periodicity.
-    if ((res.branchTaken || cls == InsnClass::kJump) && res.nextPc < pc)
-        strideAnchor(res.nextPc, now);
-
     lastWasLoad_ = cls == InsnClass::kLoad;
     lastLoadRd_ = insn.rd;
 }
@@ -331,7 +148,6 @@ Cv32e40pCore::tick(Cycle now)
         if (abortable_ && exec_.interruptReady()) {
             remaining_ = 0;
             abortable_ = false;
-            strideImpure();
         } else {
             --remaining_;
             ++stats_.stallCycles;
@@ -347,7 +163,6 @@ Cv32e40pCore::tick(Cycle now)
     if (sleeping_) {
         if (exec_.pendingEnabledIrqs() != 0) {
             sleeping_ = false;
-            strideImpure();
         } else {
             ++stats_.wfiCycles;
             return;
@@ -360,7 +175,6 @@ Cv32e40pCore::tick(Cycle now)
         remaining_ = params_.trapEntryCycles - 1;
         abortable_ = false;
         lastWasLoad_ = false;
-        strideImpure();
         return;
     }
 
@@ -369,34 +183,10 @@ Cv32e40pCore::tick(Cycle now)
 
     if (stalledByUnit(insn)) {
         ++stats_.stallCycles;
-        strideImpure();
         return;
     }
 
-    // This is an issue cycle: if pc is a known loop top, try to prove
-    // (or extend) periodicity before the instruction executes.
-    strideVisit(pc, now);
     issue(insn, pc, now);
-}
-
-bool
-Cv32e40pCore::strideSlotLive(Addr pc) const
-{
-    for (const StrideSlot &slot : slots_) {
-        if (slot.valid && !slot.dead && slot.target == pc)
-            return true;
-    }
-    return false;
-}
-
-bool
-Cv32e40pCore::strideSlotLiveInRange(Addr pc, std::uint32_t words) const
-{
-    for (const StrideSlot &slot : slots_) {
-        if (slot.valid && !slot.dead && slot.target - pc < 4u * words)
-            return true;
-    }
-    return false;
 }
 
 Cycle
@@ -408,17 +198,14 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
     }
 
     // tick()'s other gates cannot fire in here: stop words (CSR,
-    // system, custom) never run in-block, no interrupt is ready before
-    // the bound, and a live stride anchor bails below. So every step
-    // is issue() followed by its stall, advanced in closed form.
+    // system, custom) never run in-block and no interrupt is ready
+    // before the bound. So every step is issue() followed by its
+    // stall, advanced in closed form.
     Cycle t = now;
     BlockTally tally;
     while (t < bound && !tally.bailed) {
         const Addr head = state_.pc();
-        if (!blockCovers(head) || strideSlotLive(head)) {
-            // A live anchor: the per-cycle path must visit it or the
-            // loop can never confirm (and stride skips would starve).
-            // Written-off anchors flow through freely.
+        if (!blockCovers(head)) {
             tally.bailed = true;
             break;
         }
@@ -431,8 +218,7 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         const bool whole =
             !(blockindex_->flagsAt(head) & BlockIndex::kSuffixStore) &&
             t + blockindex_->worstCyclesAt(head) + params_.loadUseStall <=
-                bound &&
-            !strideSlotLiveInRange(head, run);
+                bound;
 
         for (std::uint32_t i = whole ? run : 1; i > 0; --i) {
             const Addr pc = state_.pc();

@@ -32,7 +32,7 @@ SimKernel::fastForward(Cycle limit)
 
     // Min-reduction over the components' next events, tracking which
     // components are active *now* (event <= now) — those must tick
-    // this cycle and veto any skip unless they offer a stride.
+    // this cycle and veto any skip.
     Cycle bound = limit;
     Clocked *active = nullptr;
     int activeCount = 0;
@@ -60,50 +60,24 @@ SimKernel::fastForward(Cycle limit)
     }
 
     if (activeCount == 1) {
-        // A single active component may still be skippable if its
-        // execution is provably periodic: advance by whole periods so
-        // the loop phase at `now_` is preserved bit-exactly.
-        Cycle period = active->stridePeriod(now_);
-        if (period != 0 && bound > now_) {
-            std::uint64_t k = (bound - now_) / period;
-            if (k > 0) {
-                Cycle target = now_ + k * period;
-                for (Clocked *c : components_) {
-                    if (c == active)
-                        c->applyStride(now_, k);
-                    else
-                        c->skipTo(now_, target);
-                }
-                Cycle delta = target - now_;
-                now_ = target;
-                stats_.cyclesSkipped += delta;
-                stats_.strideCyclesSkipped += delta;
-                ++stats_.strideSkips;
-                backoff_ = 1;
-                return true;
+        // Execute superblocks up to the event horizon. The active
+        // component runs itself forward; every other component sees
+        // only pure cycles (their next events are >= bound), so a bulk
+        // skipTo() replicates them exactly.
+        Cycle consumed = active->blockRun(now_, bound);
+        if (consumed > 0) {
+            rtu_assert(consumed <= bound - now_,
+                       "blockRun overran the event horizon");
+            Cycle target = now_ + consumed;
+            for (Clocked *c : components_) {
+                if (c != active)
+                    c->skipTo(now_, target);
             }
-        }
-
-        // Otherwise: execute superblocks up to the event horizon. The
-        // active component runs itself forward; every other component
-        // sees only pure cycles (their next events are >= bound), so
-        // a bulk skipTo() replicates them exactly.
-        if (bound > now_) {
-            Cycle consumed = active->blockRun(now_, bound);
-            if (consumed > 0) {
-                rtu_assert(consumed <= bound - now_,
-                           "blockRun overran the event horizon");
-                Cycle target = now_ + consumed;
-                for (Clocked *c : components_) {
-                    if (c != active)
-                        c->skipTo(now_, target);
-                }
-                now_ = target;
-                stats_.cyclesBlockExecuted += consumed;
-                ++stats_.blockRuns;
-                backoff_ = 1;
-                return true;
-            }
+            now_ = target;
+            stats_.cyclesBlockExecuted += consumed;
+            ++stats_.blockRuns;
+            backoff_ = 1;
+            return true;
         }
     }
 

@@ -13,13 +13,11 @@
  * retirement) that the skipped reference ticks would have performed,
  * so a fast-forwarded run is byte-identical to the per-cycle one.
  *
- * A second protocol covers cycle-exact *periodic* execution (an idle
- * or background spin loop): a component whose state provably recurs
- * with period P reports the stride via stridePeriod(); when it is the
- * only active component the kernel advances in whole multiples of P
- * bounded by the earliest foreign event, so the loop phase — and
- * therefore interrupt arrival phase and jitter — is preserved
- * bit-exactly.
+ * When exactly one component is active (a core running a busy or idle
+ * loop) the kernel asks it to execute superblocks up to the earliest
+ * foreign event via blockRun(); the loop runs instruction by
+ * instruction, so its phase — and therefore interrupt arrival phase
+ * and jitter — stays bit-exact.
  */
 
 #ifndef RTU_SIM_KERNEL_HH
@@ -70,28 +68,6 @@ class Clocked
     }
 
     /**
-     * Cycle-exact periodicity: non-zero iff, starting from the state
-     * at @p now, execution provably repeats with this period (same
-     * state, same per-period counter deltas, no side effects outside
-     * the component). 0 = no stride available.
-     */
-    virtual Cycle
-    stridePeriod(Cycle now) const
-    {
-        (void)now;
-        return 0;
-    }
-
-    /** Apply @p periods whole strides worth of counter deltas; the
-     *  architectural state is unchanged by definition of the stride. */
-    virtual void
-    applyStride(Cycle now, std::uint64_t periods)
-    {
-        (void)now;
-        (void)periods;
-    }
-
-    /**
      * Superblock execution: when this is the only active component and
      * every foreign event lies at or beyond @p bound, execute forward
      * from @p now and return the number of cycles consumed (0 = no
@@ -117,8 +93,12 @@ struct SimKernelStats
     std::uint64_t cyclesTicked = 0;    ///< cycles executed per-cycle
     std::uint64_t cyclesSkipped = 0;   ///< cycles fast-forwarded
     std::uint64_t fastForwards = 0;    ///< quiescent-gap skips
-    std::uint64_t strideSkips = 0;     ///< periodic-loop skips
-    std::uint64_t strideCyclesSkipped = 0;  ///< subset of cyclesSkipped
+    /** Always 0: no component skips whole loop periods, blockRun()
+     *  executes those loops. Kept so the schema-3 sweep line and the
+     *  benchmark's `sim.stride_skips` keep their fields; both go at
+     *  the next schema bump. */
+    std::uint64_t strideSkips = 0;
+    std::uint64_t strideCyclesSkipped = 0;
     std::uint64_t blockRuns = 0;       ///< successful blockRun() calls
     /** Cycles consumed inside blockRun() — these are executed, not
      *  skipped: ticked + skipped + blockExecuted is mode-invariant. */
@@ -168,8 +148,8 @@ class SimKernel
 
     /**
      * Attempt one fast-forward bounded by @p limit: if no component
-     * is active now, skip to the earliest future event; if the only
-     * active component offers a stride, advance by whole periods.
+     * is active now, skip to the earliest future event; if exactly one
+     * is, let it blockRun() up to that event.
      * @return true if `now` advanced (no ticks were executed).
      *
      * Failed attempts back off exponentially (up to 32 cycles): the

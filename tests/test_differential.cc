@@ -1,6 +1,7 @@
 /** Differential harness for the scheduling kernel: every paper
- *  configuration (plus the +HS extension points) x every workload runs
- *  in a four-way mode matrix — per-cycle reference, fast-forward with
+ *  configuration (plus the +HS extension points) x every workload, and
+ *  six CV32E40P spin-heavy points at the 10k-cycle timer, runs in a
+ *  four-way mode matrix — per-cycle reference, fast-forward with
  *  and without the predecoded image, and fast-forward with superblock
  *  execution; episode traces, cycle counts, status and all semantic
  *  counters must be byte-identical across all four. This is the
@@ -58,6 +59,72 @@ TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
                             std::end(kCoreStatsTable), invariant),
               8);
 
+    // Run one point in every mode and compare against the reference.
+    const auto check = [&](const SweepPoint &p) {
+        const SweepResult ref =
+            runSweepPoint(p, true, ExecMode::kReference);
+        const std::string key = p.key();
+
+        // The reference mode never skips and never block-executes.
+        EXPECT_EQ(ref.run.throughput.cyclesSkipped, 0u) << key;
+        EXPECT_EQ(ref.run.throughput.cyclesBlockExecuted, 0u) << key;
+
+        for (ExecMode m : modes) {
+            const SweepResult ff = runSweepPoint(p, true, m);
+            const std::string mkey =
+                key + " [" + execModeName(m) + "]";
+
+            // Every reference cycle is accounted exactly once:
+            // ticked, bulk-skipped, or block-executed.
+            EXPECT_EQ(ff.run.throughput.cyclesTicked +
+                          ff.run.throughput.cyclesSkipped +
+                          ff.run.throughput.cyclesBlockExecuted,
+                      ref.run.throughput.cyclesTicked)
+                << mkey;
+            if (m != ExecMode::kBlock) {
+                EXPECT_EQ(ff.run.throughput.cyclesBlockExecuted, 0u)
+                    << mkey;
+            }
+
+            EXPECT_EQ(ff.run.ok, ref.run.ok) << mkey;
+            EXPECT_EQ(ff.run.status, ref.run.status) << mkey;
+            EXPECT_EQ(ff.run.exitCode, ref.run.exitCode) << mkey;
+            EXPECT_EQ(ff.run.cycles, ref.run.cycles) << mkey;
+
+            const CoreStats &a = ff.run.coreStats;
+            const CoreStats &b = ref.run.coreStats;
+            for (const auto &row : kCoreStatsTable) {
+                if (row.modeInvariant) {
+                    EXPECT_EQ(a.*row.member, b.*row.member)
+                        << mkey << " " << row.name;
+                }
+            }
+            for (const auto &row : kActivityCountersTable) {
+                if (row.modeInvariant) {
+                    EXPECT_EQ(ff.run.activity.*row.member,
+                              ref.run.activity.*row.member)
+                        << mkey << " " << row.name;
+                }
+            }
+            // The front end total is invariant; only the
+            // predecoded/slow-path split moves with the mode.
+            EXPECT_EQ(a.fetchPredecoded + a.fetchSlowPath,
+                      b.fetchPredecoded + b.fetchSlowPath)
+                << mkey;
+
+            EXPECT_TRUE(ff.run.switchLatency.samples() ==
+                        ref.run.switchLatency.samples())
+                << mkey << ": switch-latency samples differ";
+            EXPECT_TRUE(ff.run.episodeLatency.samples() ==
+                        ref.run.episodeLatency.samples())
+                << mkey << ": episode-latency samples differ";
+            EXPECT_TRUE(ff.trace == ref.trace)
+                << mkey << ": episode trace JSONL differs ("
+                << ff.trace.size() << " vs " << ref.trace.size()
+                << " bytes)";
+        }
+    };
+
     size_t idx = 0;
     for (const RtosUnitConfig &unit : units) {
         for (const char *w : workloads) {
@@ -70,72 +137,27 @@ TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
             p.iterations = 3;
             p.reseed();
             ++idx;
-
-            const SweepResult ref =
-                runSweepPoint(p, true, ExecMode::kReference);
-            const std::string key = p.key();
-
-            // The reference mode never skips and never block-executes.
-            EXPECT_EQ(ref.run.throughput.cyclesSkipped, 0u) << key;
-            EXPECT_EQ(ref.run.throughput.cyclesBlockExecuted, 0u) << key;
-
-            for (ExecMode m : modes) {
-                const SweepResult ff = runSweepPoint(p, true, m);
-                const std::string mkey =
-                    key + " [" + execModeName(m) + "]";
-
-                // Every reference cycle is accounted exactly once:
-                // ticked, bulk-skipped, or block-executed.
-                EXPECT_EQ(ff.run.throughput.cyclesTicked +
-                              ff.run.throughput.cyclesSkipped +
-                              ff.run.throughput.cyclesBlockExecuted,
-                          ref.run.throughput.cyclesTicked)
-                    << mkey;
-                if (m != ExecMode::kBlock) {
-                    EXPECT_EQ(ff.run.throughput.cyclesBlockExecuted, 0u)
-                        << mkey;
-                }
-
-                EXPECT_EQ(ff.run.ok, ref.run.ok) << mkey;
-                EXPECT_EQ(ff.run.status, ref.run.status) << mkey;
-                EXPECT_EQ(ff.run.exitCode, ref.run.exitCode) << mkey;
-                EXPECT_EQ(ff.run.cycles, ref.run.cycles) << mkey;
-
-                const CoreStats &a = ff.run.coreStats;
-                const CoreStats &b = ref.run.coreStats;
-                for (const auto &row : kCoreStatsTable) {
-                    if (row.modeInvariant) {
-                        EXPECT_EQ(a.*row.member, b.*row.member)
-                            << mkey << " " << row.name;
-                    }
-                }
-                for (const auto &row : kActivityCountersTable) {
-                    if (row.modeInvariant) {
-                        EXPECT_EQ(ff.run.activity.*row.member,
-                                  ref.run.activity.*row.member)
-                            << mkey << " " << row.name;
-                    }
-                }
-                // The front end total is invariant; only the
-                // predecoded/slow-path split moves with the mode.
-                EXPECT_EQ(a.fetchPredecoded + a.fetchSlowPath,
-                          b.fetchPredecoded + b.fetchSlowPath)
-                    << mkey;
-
-                EXPECT_TRUE(ff.run.switchLatency.samples() ==
-                            ref.run.switchLatency.samples())
-                    << mkey << ": switch-latency samples differ";
-                EXPECT_TRUE(ff.run.episodeLatency.samples() ==
-                            ref.run.episodeLatency.samples())
-                    << mkey << ": episode-latency samples differ";
-                EXPECT_TRUE(ff.trace == ref.trace)
-                    << mkey << ": episode trace JSONL differs ("
-                    << ff.trace.size() << " vs " << ref.trace.size()
-                    << " bytes)";
-            }
+            check(p);
         }
     }
     EXPECT_EQ(idx, 105u);  // 15 configurations x 7 workloads
+
+    // The 10k-cycle timer leaves the CV32E40P long stretches of a
+    // background spin between interrupts: block execution carries
+    // them up to each event horizon, so the interrupt lands at the
+    // same loop phase in every mode.
+    for (const char *name : {"vanilla", "SLT", "SPLIT"}) {
+        for (const char *w : {"priority_preempt", "ext_interrupt"}) {
+            SweepPoint p;
+            p.core = CoreKind::kCv32e40p;
+            p.unit = RtosUnitConfig::fromName(name);
+            p.workload = w;
+            p.iterations = 3;
+            p.timerPeriodCycles = 10000;
+            p.reseed();
+            check(p);
+        }
+    }
 }
 
 } // namespace

@@ -1,9 +1,11 @@
-/** SimKernel tests: next-event min-reduction, fast-forward and stride
+/** SimKernel tests: next-event min-reduction, fast-forward and block-run
  *  arithmetic on fake components, skip bounds against the real CLINT
- *  and external-irq driver, stride enter/exit on a spinning guest, and
+ *  and external-irq driver, block execution of a spinning guest, and
  *  the no-retire watchdog (mode-identical abort cycles). */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "asm/assembler.hh"
 #include "harness/simulation.hh"
@@ -42,39 +44,22 @@ class FakeClocked : public Clocked
         lastSkipTo = target;
     }
 
+    Cycle
+    blockRun(Cycle now, Cycle bound) override
+    {
+        ++blockCalls;
+        return std::min(blockCycles, bound - now);
+    }
+
     Cycle event_;
+    /** Cycles one blockRun() call may consume (0 = no block path). */
+    Cycle blockCycles = 0;
+    unsigned blockCalls = 0;
     unsigned ticks = 0;
     unsigned skips = 0;
     Cycle lastTickAt = 0;
     Cycle lastSkipFrom = 0;
     Cycle lastSkipTo = 0;
-};
-
-/** Always-active component advertising a fixed execution stride. */
-class FakeStrider : public FakeClocked
-{
-  public:
-    explicit FakeStrider(Cycle period) : FakeClocked(0), period_(period)
-    {}
-
-    Cycle
-    stridePeriod(Cycle now) const override
-    {
-        (void)now;
-        return period_;
-    }
-
-    void
-    applyStride(Cycle now, std::uint64_t periods) override
-    {
-        (void)now;
-        appliedPeriods += periods;
-        ++strides;
-    }
-
-    Cycle period_;
-    std::uint64_t appliedPeriods = 0;
-    unsigned strides = 0;
 };
 
 TEST(SimKernel, NextEventCycleIsMinReduction)
@@ -114,7 +99,7 @@ TEST(SimKernel, FastForwardSkipsToEarliestEvent)
     EXPECT_EQ(b.skips, 1u);
     EXPECT_EQ(a.ticks, 0u);
 
-    // `a` is active at cycle 10 and offers no stride: no further skip.
+    // `a` is active at cycle 10 and has no block path: no further skip.
     EXPECT_FALSE(k.fastForward(1000));
     EXPECT_EQ(k.now(), 10u);
 
@@ -149,40 +134,40 @@ TEST(SimKernel, AllQuiescentSkipsToTheLimit)
     EXPECT_FALSE(k.fastForward(1000));
 }
 
-TEST(SimKernel, StrideAdvancesWholePeriodsOnly)
+TEST(SimKernel, SingleActiveComponentBlockRunsToTheHorizon)
 {
     SimKernel k;
-    FakeStrider spin(7);
-    FakeClocked foreign(100);
-    k.add(&spin);
+    FakeClocked busy(0), foreign(100);
+    busy.blockCycles = 1000;
+    k.add(&busy);
     k.add(&foreign);
 
-    // 100 / 7 = 14 whole periods -> cycle 98, never past the foreign
-    // event and never a fractional period (the loop phase survives).
+    // The active component runs itself up to the foreign event, never
+    // past it; the foreign component replicates the consumed cycles.
     ASSERT_TRUE(k.fastForward(1000));
-    EXPECT_EQ(k.now(), 98u);
-    EXPECT_EQ(spin.appliedPeriods, 14u);
-    EXPECT_EQ(spin.strides, 1u);
-    EXPECT_EQ(spin.skips, 0u);  // the strider strides, never skipTo()s
+    EXPECT_EQ(k.now(), 100u);
+    EXPECT_EQ(busy.blockCalls, 1u);
+    EXPECT_EQ(busy.skips, 0u);
     EXPECT_EQ(foreign.skips, 1u);
-    EXPECT_EQ(foreign.lastSkipTo, 98u);
-    EXPECT_EQ(k.stats().strideSkips, 1u);
-    EXPECT_EQ(k.stats().strideCyclesSkipped, 98u);
-
-    // The 2 remaining cycles to the foreign event are < one period.
-    EXPECT_FALSE(k.fastForward(1000));
-    EXPECT_EQ(k.now(), 98u);
+    EXPECT_EQ(foreign.lastSkipFrom, 0u);
+    EXPECT_EQ(foreign.lastSkipTo, 100u);
+    EXPECT_EQ(k.stats().blockRuns, 1u);
+    EXPECT_EQ(k.stats().cyclesBlockExecuted, 100u);
+    EXPECT_EQ(k.stats().cyclesSkipped, 0u);
 }
 
-TEST(SimKernel, TwoActiveComponentsCannotStride)
+TEST(SimKernel, TwoActiveComponentsVetoBlockRun)
 {
     SimKernel k;
-    FakeStrider s1(5), s2(5);
-    k.add(&s1);
-    k.add(&s2);
+    FakeClocked a(0), b(0);
+    a.blockCycles = b.blockCycles = 5;
+    k.add(&a);
+    k.add(&b);
     EXPECT_FALSE(k.fastForward(1000));
-    EXPECT_EQ(s1.appliedPeriods, 0u);
-    EXPECT_EQ(s2.appliedPeriods, 0u);
+    EXPECT_EQ(k.now(), 0u);
+    EXPECT_EQ(a.blockCalls, 0u);
+    EXPECT_EQ(b.blockCalls, 0u);
+    EXPECT_EQ(a.skips + b.skips, 0u);
 }
 
 TEST(SimKernel, TickOneRunsEveryComponentThenAdvances)
@@ -277,7 +262,7 @@ TEST(ClintNextEvent, ArithmeticCoversTheProtocol)
 }
 
 /** Infinite pure spin whose architectural state recurs exactly each
- *  iteration — the stride detector's target shape. */
+ *  iteration: an idle loop that only block execution can speed up. */
 Program
 spinProgram()
 {
@@ -312,7 +297,7 @@ bareConfig(bool fast_forward)
     return cfg;
 }
 
-TEST(SimKernelGuest, StrideEngagesOnSpinAndPreservesState)
+TEST(SimKernelGuest, BlockRunCarriesSpinAndPreservesState)
 {
     const Program p = spinProgram();
 
@@ -328,9 +313,8 @@ TEST(SimKernelGuest, StrideEngagesOnSpinAndPreservesState)
     Simulation ffSim(ff, p);
     EXPECT_FALSE(ffSim.run());
 
-    // The detector must engage...
-    EXPECT_GT(ffSim.kernelStats().strideSkips, 0u);
-    EXPECT_GT(ffSim.kernelStats().cyclesSkipped, 0u);
+    // Block execution must carry the loop...
+    EXPECT_GT(ffSim.kernelStats().cyclesBlockExecuted, 0u);
     EXPECT_LT(ffSim.kernelStats().cyclesTicked, ref.maxCycles);
     // ...and reproduce the reference run bit-exactly.
     EXPECT_EQ(ffSim.now(), refSim.now());
@@ -344,11 +328,11 @@ TEST(SimKernelGuest, StrideEngagesOnSpinAndPreservesState)
             << "x" << unsigned(r);
 }
 
-TEST(SimKernelGuest, StrideExitsOnIrqDelivery)
+TEST(SimKernelGuest, BlockRunStopsExactlyAtIrqDelivery)
 {
-    // Same spin, but an external interrupt arrives mid-stride. With
+    // Same spin, but an external interrupt arrives mid-run. With
     // interrupts disabled (reset state) delivery is just the MEIP
-    // line rising — the skip still must not step over that cycle, so
+    // line rising — a block run still must not step over that cycle, so
     // the phase-sensitive state around it stays exact.
     const Program p = spinProgram();
 

@@ -179,11 +179,7 @@ TEST(TraceSinks, CsvHasHeaderAndOneRowPerEpisode)
 {
     std::ostringstream os;
     CsvTraceSink sink(os);
-    TraceRunLabel label;
-    label.core = "CVA6";
-    label.config = "T";
-    label.workload = "unit_test";
-    sink.beginRun(label);
+    sink.beginRun(TraceRunLabel{"CVA6", "T", "unit_test", 0});
     EpisodeTrace e;
     e.irqAssert = 10;
     e.mret = 60;
