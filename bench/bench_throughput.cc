@@ -6,7 +6,9 @@
  * superblock execution off, and fast-forward with everything on —
  * with episode traces captured. All four traces must be
  * byte-identical, and the mode-invariant core counters equal
- * (trace_identical; exit 1 otherwise); the report quantifies what each
+ * (trace_identical; exit 1 otherwise), and every run must finish
+ * (ok; exit 1 naming each point that ran into the cycle limit or
+ * never exited); the report quantifies what each
  * optimization buys: skip ratio (fraction of simulated cycles never
  * ticked), guest MIPS, the fast-forward wall-clock speedup over
  * reference, the predecode speedup over decode-from-memory fetching,
@@ -407,6 +409,17 @@ main(int argc, char **argv)
                              "or mode-invariant counters differ\n");
         return 1;
     }
+    bool allOk = true;
+    for (const PointReport &r : reports) {
+        if (r.ok)
+            continue;
+        std::fprintf(stderr, "FAIL: %s/%s/%s did not finish (ok: false)\n",
+                     coreKindName(r.point.core),
+                     r.point.unit.name().c_str(), r.point.workload.c_str());
+        allOk = false;
+    }
+    if (!allOk)
+        return 1;
     if (min_skip_ratio > 0.0 && overallSkip < min_skip_ratio) {
         std::fprintf(stderr,
                      "FAIL: overall skip ratio %.4f below the "
