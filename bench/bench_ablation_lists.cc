@@ -36,8 +36,7 @@ main(int argc, char **argv)
     parser.addUnsigned("--threads", &threads, "worker threads");
     parser.addString("--out", &out_path, "JSONL output path");
     parser.addString("--exec-mode", &exec_mode,
-                     "reference|ff-decode|ff-predecode|block "
-                     "(identical results)");
+                     "reference|block (identical results)");
     parser.parse(argc, argv);
     setQuiet(true);
 

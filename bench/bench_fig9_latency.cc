@@ -21,10 +21,10 @@
  *                           [--exec-mode MODE] [--timing]
  *
  * --exec-mode picks how the simulator advances time: reference ticks
- * every cycle, ff-decode fast-forwards but decodes every fetch from
- * memory, ff-predecode adds the decode-once text image, and block (the
- * default) adds superblock execution. All four give byte-identical
- * results; the others are just slower. --timing adds the
+ * every cycle and decodes every fetch from memory; block (the default)
+ * decodes the text once, fast-forwards quiescent stretches and runs
+ * straight-line code as superblocks. Both give byte-identical traces
+ * and latencies; the reference is just slower. --timing adds the
  * nondeterministic wall_ms/mips fields to --out lines. The --out
  * stream starts with a schema-stamped header line.
  */
@@ -64,8 +64,7 @@ main(int argc, char **argv)
     parser.addFlag("--per-workload", &per_workload,
                    "print one table per workload");
     parser.addString("--exec-mode", &exec_mode,
-                     "reference|ff-decode|ff-predecode|block "
-                     "(identical results)");
+                     "reference|block (identical results)");
     parser.addFlag("--timing", &include_timing,
                    "include wall-clock timing in the output");
     parser.parse(argc, argv);

@@ -21,16 +21,16 @@
  *                     [--iterations N] [--timer-period CYCLES]
  *                     [--faults N] [--campaign-size N] [--seed S]
  *                     [--threads N] [--out campaign.jsonl]
- *                     [--strict] [--selftest] [--exec-mode MODE]
+ *                     [--strict] [--selftest]
  *
- * Every execution mode is exact, so --exec-mode (see
- * bench_fig9_latency) must not change a single outcome
- * classification; ctest runs the selftest in two modes.
+ * Runs always use block execution: a hang simulates to the cycle
+ * limit, which the per-cycle reference would tick one cycle at a
+ * time. tests/test_inject.cc checks the seeded-defect fixtures
+ * against the reference.
  */
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,31 +44,6 @@
 using namespace rtu;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-CoreKind
-coreFromName(const std::string &name)
-{
-    if (name == "cv32e40p")
-        return CoreKind::kCv32e40p;
-    if (name == "cva6")
-        return CoreKind::kCva6;
-    if (name == "nax" || name == "naxriscv")
-        return CoreKind::kNax;
-    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
-          name.c_str());
-}
 
 void
 printSummary(const CampaignResult &res)
@@ -91,7 +66,7 @@ printSummary(const CampaignResult &res)
  */
 unsigned
 runSelftest(const SweepRunner &runner, unsigned iterations,
-            Word timer_period, ExecMode mode)
+            Word timer_period)
 {
     unsigned failures = 0;
     const auto expect = [&](bool ok, const std::string &what) {
@@ -115,7 +90,6 @@ runSelftest(const SweepRunner &runner, unsigned iterations,
         cs.points = spec.points();
         cs.faultsPerPoint = 1;
         cs.seed = 42;
-        cs.mode = mode;
         const CampaignResult res = runCampaign(cs, runner);
         expect(res.cleanOracleHits() == 0,
                csprintf("clean matrix fired %u oracle hits (first: %s)",
@@ -170,7 +144,7 @@ runSelftest(const SweepRunner &runner, unsigned iterations,
         pt.reseed();
         GoldenRecord golden;
         const FaultRunRecord rec =
-            runSingleFault(pt, fx.fault, &golden, mode);
+            runSingleFault(pt, fx.fault, &golden);
         const std::string label =
             csprintf("%s/%s", fx.config, fx.fault.describe().c_str());
         expect(golden.oracleHits == 0,
@@ -209,7 +183,6 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_inject_campaign.jsonl";
     bool strict = false;
     bool selftest = false;
-    std::string exec_mode = "block";
 
     ArgParser parser("Fault-injection campaign with kernel-invariant "
                      "oracles");
@@ -234,17 +207,13 @@ main(int argc, char **argv)
                    "exit non-zero on any silent-corruption outcome");
     parser.addFlag("--selftest", &selftest,
                    "run the seeded-defect matrix and exit");
-    parser.addString("--exec-mode", &exec_mode,
-                     "reference|ff-decode|ff-predecode|block "
-                     "(classification must not change)");
     parser.parse(argc, argv);
-    const ExecMode mode = execModeFromName(exec_mode);
 
     const SweepRunner runner(threads);
 
     if (selftest) {
         const unsigned failures =
-            runSelftest(runner, iterations, timer_period, mode);
+            runSelftest(runner, iterations, timer_period);
         if (failures != 0) {
             std::fprintf(stderr, "selftest: %u failures\n", failures);
             return 1;
@@ -256,7 +225,7 @@ main(int argc, char **argv)
 
     SweepSpec spec;
     for (const std::string &c : splitList(cores_arg))
-        spec.cores.push_back(coreFromName(c));
+        spec.cores.push_back(coreKindFromName(c));
     for (const std::string &c : splitList(configs_arg))
         spec.units.push_back(RtosUnitConfig::fromName(c));
     spec.workloads = splitList(workloads_arg);
@@ -266,7 +235,6 @@ main(int argc, char **argv)
     CampaignSpec cs;
     cs.points = spec.points();
     cs.seed = seed;
-    cs.mode = mode;
     cs.faultsPerPoint = faults;
     if (campaign_size != 0) {
         cs.faultsPerPoint = std::max<unsigned>(

@@ -1,26 +1,22 @@
 /**
- * Simulator-throughput benchmark for the event-driven scheduling
- * kernel: every requested (core x config x workload) point runs four
- * times — per-cycle reference mode, fast-forward with the predecoded
- * instruction store disabled, fast-forward with the image on but
- * superblock execution off, and fast-forward with everything on —
- * with episode traces captured. All four traces must be
+ * Simulator-throughput benchmark: every requested (core x config x
+ * workload) point runs twice — in the per-cycle reference mode (no
+ * predecoded image, no block index, every fetch decoded from memory)
+ * and in block mode (image, quiescence fast-forward and superblock
+ * execution) — with episode traces captured. The two traces must be
  * byte-identical, and the mode-invariant core counters equal
  * (trace_identical; exit 1 otherwise), and every run must finish
  * (ok; exit 1 naming each point that ran into the cycle limit or
- * never exited); the report quantifies what each
- * optimization buys: skip ratio (fraction of simulated cycles never
- * ticked), guest MIPS, the fast-forward wall-clock speedup over
- * reference, the predecode speedup over decode-from-memory fetching,
- * and the block-execution speedup over per-instruction dispatch.
+ * never exited); the report quantifies what block mode buys: skip
+ * ratio (fraction of simulated cycles never ticked), guest MIPS and
+ * the wall-clock speedup over the reference.
  *
  * Emits BENCH_sim_throughput.json with one record per point plus
  * per-core and overall aggregates. --min-skip-ratio gates the overall
- * skip ratio, --min-predecode-speedup the overall predecode speedup
- * and --min-block-speedup the overall block-execution speedup (exit 1
- * below the floor) so CI can assert the kernel actually
- * fast-forwards on periodic workloads and the decode-once front-end
- * and block fast path actually pay on compute-bound ones.
+ * skip ratio and --min-speedup the overall speedup of block mode over
+ * the reference (exit 1 below the floor), so CI can assert that the
+ * kernel actually fast-forwards on periodic workloads and that the
+ * accelerated path actually pays on compute-bound ones.
  *
  * Usage: bench_throughput [--cores cv32e40p,cva6,nax]
  *                         [--configs vanilla,SLT,...]
@@ -30,13 +26,12 @@
  *                         [--repeats N]
  *                         [--out BENCH_sim_throughput.json]
  *                         [--min-skip-ratio R]
- *                         [--min-predecode-speedup S]
- *                         [--min-block-speedup S]
+ *                         [--min-speedup S]
  *
- * --repeats runs each mode of each point N times and keeps the
- * minimum wall time (the runs are deterministic, so only scheduling
- * noise differs between them). Speedup gates in CI should use
- * --repeats 3 or more: single-shot wall times on millisecond-scale
+ * --repeats runs each mode of each point N times (at least once) and
+ * keeps the minimum wall time (the runs are deterministic, so only
+ * scheduling noise differs between them). Speedup gates in CI should
+ * use --repeats 3 or more: single-shot wall times on millisecond-scale
  * runs swing tens of percent under host contention.
  *
  * --timer-period sets the preemption-timer period per point. The
@@ -66,39 +61,11 @@ using namespace rtu;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
-
-CoreKind
-coreFromName(const std::string &name)
-{
-    if (name == "cv32e40p")
-        return CoreKind::kCv32e40p;
-    if (name == "cva6")
-        return CoreKind::kCva6;
-    if (name == "nax" || name == "naxriscv")
-        return CoreKind::kNax;
-    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
-          name.c_str());
-}
-
 struct PointReport
 {
     SweepPoint point;
-    RunThroughput ff;
+    RunThroughput ff;  ///< block mode
     RunThroughput ref;
-    RunThroughput nopre;    ///< fast-forward, predecoded image off
-    RunThroughput noblock;  ///< fast-forward, block execution off
     Cycle cycles = 0;
     CoreStats core;  ///< of the block-mode (ff) run
     bool traceIdentical = false;
@@ -153,12 +120,11 @@ main(int argc, char **argv)
     unsigned repeats = 1;
     std::string out_path = "BENCH_sim_throughput.json";
     double min_skip_ratio = 0.0;
-    double min_predecode_speedup = 0.0;
-    double min_block_speedup = 0.0;
+    double min_speedup = 0.0;
 
     std::string cores_arg, configs_arg, workloads_arg;
-    ArgParser parser("Event-driven simulation throughput: reference "
-                     "ticking vs quiescence fast-forward");
+    ArgParser parser("Simulation throughput: per-cycle reference vs "
+                     "block mode");
     parser.addString("--cores", &cores_arg,
                      "comma list: cv32e40p,cva6,nax");
     parser.addString("--configs", &configs_arg,
@@ -170,20 +136,19 @@ main(int argc, char **argv)
     parser.addUnsigned("--timer-period", &timer_period,
                        "preemption timer period in cycles");
     parser.addUnsigned("--repeats", &repeats,
-                       "timed runs per mode; min wall time kept");
+                       "timed runs per mode; min wall time kept", 1);
     parser.addString("--out", &out_path, "JSON report path");
     parser.addDouble("--min-skip-ratio", &min_skip_ratio,
-                     "fail when any point skips less than this ratio");
-    parser.addDouble("--min-predecode-speedup", &min_predecode_speedup,
-                     "fail when the overall predecode speedup is lower");
-    parser.addDouble("--min-block-speedup", &min_block_speedup,
-                     "fail when the overall block-exec speedup is lower");
+                     "fail when the overall skip ratio is lower");
+    parser.addDouble("--min-speedup", &min_speedup,
+                     "fail when the overall speedup of block mode over "
+                     "the reference is lower");
     parser.parse(argc, argv);
 
     if (!cores_arg.empty()) {
         cores.clear();
         for (const std::string &n : splitList(cores_arg))
-            cores.push_back(coreFromName(n));
+            cores.push_back(coreKindFromName(n));
     }
     if (!configs_arg.empty())
         configs = splitList(configs_arg);
@@ -191,16 +156,13 @@ main(int argc, char **argv)
         workloads = splitList(workloads_arg);
     if (cores.empty() || configs.empty() || workloads.empty())
         fatal("need at least one core, config and workload");
-    if (repeats == 0)
-        repeats = 1;
 
     std::vector<PointReport> reports;
     bool allIdentical = true;
 
-    std::printf("%-9s %-8s %-16s %12s %10s %9s %9s %9s %9s %8s %8s %8s\n",
-                "core", "config", "workload", "cycles", "skip",
-                "ref-ms", "nopre-ms", "noblk-ms", "ff-ms", "speedup",
-                "pre-spd", "blk-spd");
+    std::printf("%-9s %-8s %-16s %12s %10s %9s %9s %8s\n", "core",
+                "config", "workload", "cycles", "skip", "ref-ms", "ff-ms",
+                "speedup");
     for (CoreKind core : cores) {
         for (const std::string &cfg : configs) {
             for (const std::string &w : workloads) {
@@ -212,10 +174,9 @@ main(int argc, char **argv)
                 p.timerPeriodCycles = timer_period;
                 p.reseed();
 
-                // Reference first, then the three accelerated modes;
-                // traces captured for the four-way byte-identity
-                // check. Each mode runs --repeats times keeping the
-                // minimum wall time.
+                // Reference first, then block mode; traces captured
+                // for the byte-identity check. Each mode runs
+                // --repeats times keeping the minimum wall time.
                 const auto bestOf = [&p, repeats](ExecMode mode) {
                     SweepResult best = runSweepPoint(p, true, mode);
                     for (unsigned k = 1; k < repeats; ++k) {
@@ -227,23 +188,16 @@ main(int argc, char **argv)
                     return best;
                 };
                 const SweepResult ref = bestOf(ExecMode::kReference);
-                const SweepResult nopre = bestOf(ExecMode::kFfDecode);
-                const SweepResult noblock = bestOf(ExecMode::kFfPredecode);
                 const SweepResult ff = bestOf(ExecMode::kBlock);
 
                 PointReport r;
                 r.point = p;
                 r.ref = ref.run.throughput;
-                r.nopre = nopre.run.throughput;
-                r.noblock = noblock.run.throughput;
                 r.ff = ff.run.throughput;
                 r.cycles = ff.run.cycles;
                 r.core = ff.run.coreStats;
-                r.traceIdentical = sameAsReference(ff, ref) &&
-                                   sameAsReference(nopre, ref) &&
-                                   sameAsReference(noblock, ref);
-                r.ok = ff.run.ok && ref.run.ok && nopre.run.ok &&
-                       noblock.run.ok;
+                r.traceIdentical = sameAsReference(ff, ref);
+                r.ok = ff.run.ok && ref.run.ok;
                 allIdentical = allIdentical && r.traceIdentical;
                 reports.push_back(r);
 
@@ -251,41 +205,29 @@ main(int argc, char **argv)
                     r.ff.wallSeconds > 0.0
                         ? r.ref.wallSeconds / r.ff.wallSeconds
                         : 0.0;
-                const double preSpeedup =
-                    r.ff.wallSeconds > 0.0
-                        ? r.nopre.wallSeconds / r.ff.wallSeconds
-                        : 0.0;
-                const double blkSpeedup =
-                    r.ff.wallSeconds > 0.0
-                        ? r.noblock.wallSeconds / r.ff.wallSeconds
-                        : 0.0;
                 std::printf(
-                    "%-9s %-8s %-16s %12llu %9.1f%% %9.2f %9.2f %9.2f "
-                    "%9.2f %7.2fx %7.2fx %7.2fx%s\n",
+                    "%-9s %-8s %-16s %12llu %9.1f%% %9.2f %9.2f "
+                    "%7.2fx%s\n",
                     coreKindName(core), cfg.c_str(), w.c_str(),
                     static_cast<unsigned long long>(r.cycles),
                     100.0 * skipRatio(r.ff.cyclesSkipped,
                                       r.ff.cyclesTicked +
                                           r.ff.cyclesBlockExecuted),
-                    r.ref.wallSeconds * 1e3, r.nopre.wallSeconds * 1e3,
-                    r.noblock.wallSeconds * 1e3,
-                    r.ff.wallSeconds * 1e3, speedup, preSpeedup,
-                    blkSpeedup,
-                    r.traceIdentical ? "" : "  TRACE MISMATCH");
+                    r.ref.wallSeconds * 1e3, r.ff.wallSeconds * 1e3,
+                    speedup, r.traceIdentical ? "" : "  TRACE MISMATCH");
             }
         }
     }
 
     // Aggregates: per core and overall. Block-executed cycles count
-    // as executed (not skipped) in the skip ratio, so the ratio is
-    // comparable with and without the block fast path.
+    // as executed (not skipped) in the skip ratio, so the ratio
+    // measures the fast-forward alone.
     std::uint64_t totTicked = 0, totSkipped = 0, totInstret = 0;
-    double totRefWall = 0, totFfWall = 0, totNopreWall = 0,
-           totNoblockWall = 0;
+    double totRefWall = 0, totFfWall = 0;
     std::ostringstream perCore;
     for (size_t ci = 0; ci < cores.size(); ++ci) {
         std::uint64_t ticked = 0, skipped = 0, instret = 0;
-        double refWall = 0, ffWall = 0, nopreWall = 0, noblockWall = 0;
+        double refWall = 0, ffWall = 0;
         for (const PointReport &r : reports) {
             if (r.point.core != cores[ci])
                 continue;
@@ -294,8 +236,6 @@ main(int argc, char **argv)
             instret += r.core.instret;
             refWall += r.ref.wallSeconds;
             ffWall += r.ff.wallSeconds;
-            nopreWall += r.nopre.wallSeconds;
-            noblockWall += r.noblock.wallSeconds;
         }
         perCore << (ci ? "," : "") << "{\"core\":\""
                 << jsonEscape(coreKindName(cores[ci]))
@@ -306,43 +246,26 @@ main(int argc, char **argv)
                 << ",\"speedup\":"
                 << csprintf("%.3f",
                             ffWall > 0.0 ? refWall / ffWall : 0.0)
-                << ",\"predecode_speedup\":"
-                << csprintf("%.3f",
-                            ffWall > 0.0 ? nopreWall / ffWall : 0.0)
-                << ",\"block_speedup\":"
-                << csprintf("%.3f",
-                            ffWall > 0.0 ? noblockWall / ffWall : 0.0)
                 << "}";
         totTicked += ticked;
         totSkipped += skipped;
         totInstret += instret;
         totRefWall += refWall;
         totFfWall += ffWall;
-        totNopreWall += nopreWall;
-        totNoblockWall += noblockWall;
     }
 
     const double overallSkip = skipRatio(totSkipped, totTicked);
     const double overallSpeedup =
         totFfWall > 0.0 ? totRefWall / totFfWall : 0.0;
-    const double overallPreSpeedup =
-        totFfWall > 0.0 ? totNopreWall / totFfWall : 0.0;
-    const double overallBlkSpeedup =
-        totFfWall > 0.0 ? totNoblockWall / totFfWall : 0.0;
     std::printf("\noverall: skip ratio %.1f%%, speedup %.2fx, "
-                "predecode speedup %.2fx, block speedup %.2fx, "
-                "%.2f MIPS (noblock %.2f, nopre %.2f, ref %.2f)\n",
-                100.0 * overallSkip, overallSpeedup, overallPreSpeedup,
-                overallBlkSpeedup,
-                mips(totInstret, totFfWall),
-                mips(totInstret, totNoblockWall),
-                mips(totInstret, totNopreWall),
-                mips(totInstret, totRefWall));
+                "%.2f MIPS (ref %.2f)\n",
+                100.0 * overallSkip, overallSpeedup,
+                mips(totInstret, totFfWall), mips(totInstret, totRefWall));
 
     std::ofstream os(out_path);
     if (!os)
         fatal("cannot open --out file '%s'", out_path.c_str());
-    os << "{\"schema\":3,\"iterations\":" << iterations
+    os << "{\"schema\":4,\"iterations\":" << iterations
        << ",\"timer_period\":" << timer_period
        << ",\"repeats\":" << repeats << ",\"results\":[";
     for (size_t i = 0; i < reports.size(); ++i) {
@@ -364,48 +287,26 @@ main(int argc, char **argv)
         writeCounterFields(os, r.core);
         os << ",\"ref_wall_ms\":"
            << csprintf("%.3f", r.ref.wallSeconds * 1e3)
-           << ",\"nopre_wall_ms\":"
-           << csprintf("%.3f", r.nopre.wallSeconds * 1e3)
-           << ",\"noblock_wall_ms\":"
-           << csprintf("%.3f", r.noblock.wallSeconds * 1e3)
            << ",\"ff_wall_ms\":"
            << csprintf("%.3f", r.ff.wallSeconds * 1e3)
            << ",\"ref_mips\":"
            << csprintf("%.3f", mips(r.core.instret, r.ref.wallSeconds))
-           << ",\"nopre_mips\":"
-           << csprintf("%.3f", mips(r.core.instret, r.nopre.wallSeconds))
-           << ",\"noblock_mips\":"
-           << csprintf("%.3f", mips(r.core.instret, r.noblock.wallSeconds))
            << ",\"ff_mips\":"
            << csprintf("%.3f", mips(r.core.instret, r.ff.wallSeconds))
            << ",\"speedup\":"
            << csprintf("%.3f", r.ff.wallSeconds > 0.0
                                    ? r.ref.wallSeconds / r.ff.wallSeconds
                                    : 0.0)
-           << ",\"predecode_speedup\":"
-           << csprintf("%.3f",
-                       r.ff.wallSeconds > 0.0
-                           ? r.nopre.wallSeconds / r.ff.wallSeconds
-                           : 0.0)
-           << ",\"block_speedup\":"
-           << csprintf("%.3f",
-                       r.ff.wallSeconds > 0.0
-                           ? r.noblock.wallSeconds / r.ff.wallSeconds
-                           : 0.0)
            << "}";
     }
     os << "],\"per_core\":[" << perCore.str() << "]"
        << ",\"overall\":{\"skip_ratio\":"
        << csprintf("%.4f", overallSkip)
-       << ",\"speedup\":" << csprintf("%.3f", overallSpeedup)
-       << ",\"predecode_speedup\":"
-       << csprintf("%.3f", overallPreSpeedup)
-       << ",\"block_speedup\":"
-       << csprintf("%.3f", overallBlkSpeedup) << "}}\n";
+       << ",\"speedup\":" << csprintf("%.3f", overallSpeedup) << "}}\n";
     std::printf("json: %s\n", out_path.c_str());
 
     if (!allIdentical) {
-        std::fprintf(stderr, "FAIL: fast-forward and reference traces "
+        std::fprintf(stderr, "FAIL: block-mode and reference traces "
                              "or mode-invariant counters differ\n");
         return 1;
     }
@@ -427,19 +328,11 @@ main(int argc, char **argv)
                      overallSkip, min_skip_ratio);
         return 1;
     }
-    if (min_predecode_speedup > 0.0 &&
-        overallPreSpeedup < min_predecode_speedup) {
+    if (min_speedup > 0.0 && overallSpeedup < min_speedup) {
         std::fprintf(stderr,
-                     "FAIL: overall predecode speedup %.3f below the "
-                     "--min-predecode-speedup floor %.3f\n",
-                     overallPreSpeedup, min_predecode_speedup);
-        return 1;
-    }
-    if (min_block_speedup > 0.0 && overallBlkSpeedup < min_block_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: overall block-exec speedup %.3f below the "
-                     "--min-block-speedup floor %.3f\n",
-                     overallBlkSpeedup, min_block_speedup);
+                     "FAIL: overall speedup %.3f below the "
+                     "--min-speedup floor %.3f\n",
+                     overallSpeedup, min_speedup);
         return 1;
     }
     return 0;

@@ -174,4 +174,17 @@ ArgParser::parse(int argc, char **argv)
     return true;
 }
 
+std::vector<std::string>
+splitList(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        if (!item.empty())
+            out.push_back(item);
+    }
+    return out;
+}
+
 } // namespace rtu

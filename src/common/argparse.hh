@@ -82,6 +82,10 @@ class ArgParser
     std::vector<Option> options_;
 };
 
+/** Split a comma list option value ("cv32e40p,cva6"), dropping empty
+ *  items. */
+std::vector<std::string> splitList(const std::string &s);
+
 } // namespace rtu
 
 #endif // RTU_COMMON_ARGPARSE_HH

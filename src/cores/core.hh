@@ -47,7 +47,7 @@ struct CoreStats
     std::uint64_t cacheMisses = 0;
     /** Front-end: fetches served from the predecoded image. */
     std::uint64_t fetchPredecoded = 0;
-    /** Front-end: fetches through the memory system (image off, wild
+    /** Front-end: fetches through the memory system (reference mode, wild
      *  jump out of text, or misaligned pc). */
     std::uint64_t fetchSlowPath = 0;
     /** Text-range writes that re-decoded image words. Accounted at

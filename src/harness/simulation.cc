@@ -19,6 +19,19 @@ coreKindName(CoreKind kind)
     return "?";
 }
 
+CoreKind
+coreKindFromName(const std::string &name)
+{
+    if (name == "cv32e40p")
+        return CoreKind::kCv32e40p;
+    if (name == "cva6")
+        return CoreKind::kCva6;
+    if (name == "nax" || name == "naxriscv")
+        return CoreKind::kNax;
+    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
+          name.c_str());
+}
+
 const char *
 runStatusName(RunStatus status)
 {
@@ -36,8 +49,6 @@ execModeName(ExecMode mode)
 {
     switch (mode) {
       case ExecMode::kReference: return "reference";
-      case ExecMode::kFfDecode: return "ff-decode";
-      case ExecMode::kFfPredecode: return "ff-predecode";
       case ExecMode::kBlock: return "block";
     }
     return "?";
@@ -46,13 +57,11 @@ execModeName(ExecMode mode)
 ExecMode
 execModeFromName(const std::string &name)
 {
-    for (ExecMode mode : {ExecMode::kReference, ExecMode::kFfDecode,
-                          ExecMode::kFfPredecode, ExecMode::kBlock}) {
+    for (ExecMode mode : {ExecMode::kReference, ExecMode::kBlock}) {
         if (name == execModeName(mode))
             return mode;
     }
-    fatal("unknown execution mode '%s' (reference, ff-decode, "
-          "ff-predecode, block)",
+    fatal("unknown execution mode '%s' (expected reference or block)",
           name.c_str());
 }
 
@@ -78,17 +87,17 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     dmem_.loadWords(program.dataBase, program.data);
     taskIdAddr_ = program.symbol("currentTaskId");
 
-    // Decode the whole text segment once; per-cycle fetch becomes an
-    // array index. Stores and injected faults landing in text re-decode
-    // the touched words through the write observer.
-    if (config_.mode != ExecMode::kFfDecode && !program.text.empty())
+    // Block mode decodes the whole text segment once, so per-cycle
+    // fetch becomes an array index (stores and injected faults landing
+    // in text re-decode the touched words through the write observer),
+    // and indexes it into superblocks: straight-line run lengths and
+    // worst-case block costs, kept coherent with text writes via the
+    // image's invalidation listener. The reference installs neither
+    // and decodes every fetch from memory.
+    if (config_.mode == ExecMode::kBlock && !program.text.empty()) {
         predecode_.install(mem_, program.textBase, program.text.size());
-
-    // Superblock index on top of the image: straight-line run lengths
-    // and worst-case block costs, kept coherent with text writes via
-    // the image's invalidation listener.
-    if (config_.mode == ExecMode::kBlock && predecode_.installed())
         blockindex_.install(predecode_, Cv32e40pCostParams{});
+    }
 
     state_.setPc(program.textBase);
     exec_.setClock(kernel_.clockPtr());
@@ -281,7 +290,7 @@ Simulation::run()
         // guest crashing (expected under fault injection), not a
         // simulator bug: end the run instead of aborting the host.
         try {
-            if (config_.mode != ExecMode::kReference &&
+            if (config_.mode == ExecMode::kBlock &&
                 kernel_.fastForward(limit))
                 continue;
             kernel_.tickOne();

@@ -35,21 +35,23 @@ enum class CoreKind { kCv32e40p, kCva6, kNax };
 
 const char *coreKindName(CoreKind kind);
 
+/** The core a command line names: "cv32e40p", "cva6", "nax" or
+ *  "naxriscv"; fatal() on anything else. */
+CoreKind coreKindFromName(const std::string &name);
+
 /**
- * How the simulator advances time. The modes are exact by
- * construction: each yields byte-identical traces and counters (the
- * four-way differential in tests/test_differential.cc proves it), so a
- * mode only trades host speed against how little machinery runs.
+ * How the simulator advances time. Both modes are exact by
+ * construction: they yield byte-identical traces and mode-invariant
+ * counters (tests/test_differential.cc proves it), so the choice only
+ * trades host speed against how little machinery runs.
  */
 enum class ExecMode
 {
-    kReference,    ///< tick every cycle, predecoded image
-    kFfDecode,     ///< event-driven fast-forward, decode from memory
-    kFfPredecode,  ///< fast-forward, predecoded image
-    kBlock,        ///< fast-forward, image, superblock execution
+    kReference,  ///< tick every cycle, decode every fetch from memory
+    kBlock,      ///< predecoded image, fast-forward, superblock execution
 };
 
-/** "reference", "ff-decode", "ff-predecode" or "block". */
+/** "reference" or "block". */
 const char *execModeName(ExecMode mode);
 
 /** Inverse of execModeName(); fatal() on an unknown name. */

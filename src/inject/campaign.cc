@@ -247,7 +247,7 @@ struct InstrumentedRun
 
 InstrumentedRun
 runInstrumented(const SweepPoint &point, const FaultSpec *fault,
-                ExecMode mode)
+                ExecMode mode = ExecMode::kBlock)
 {
     const auto workload = makeWorkload(point.workload, point.iterations);
     const WorkloadInfo winfo = workload->info();
@@ -420,7 +420,7 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     // Stage 1: golden references, sharded across the pool.
     runner.forEachIndex(spec.points.size(), [&](std::size_t i) {
         const SweepPoint &pt = spec.points[i];
-        const InstrumentedRun r = runInstrumented(pt, nullptr, spec.mode);
+        const InstrumentedRun r = runInstrumented(pt, nullptr);
         GoldenRecord &g = res.goldens[i];
         g.point = pt;
         g.run = r.run;
@@ -459,8 +459,7 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     runner.forEachIndex(plan.size(), [&](std::size_t j) {
         const PlannedFault &pf = plan[j];
         const SweepPoint &pt = spec.points[pf.pointIndex];
-        const InstrumentedRun r =
-            runInstrumented(pt, &pf.fault, spec.mode);
+        const InstrumentedRun r = runInstrumented(pt, &pf.fault);
         FaultRunRecord &rec = res.faults[j];
         rec.pointIndex = pf.pointIndex;
         rec.fault = pf.fault;

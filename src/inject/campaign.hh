@@ -54,9 +54,6 @@ struct CampaignSpec
     unsigned faultsPerPoint = 8;
     /** Campaign seed: the only input of the fault plans. */
     std::uint64_t seed = 1;
-    /** Classification must be invariant under the execution mode —
-     *  ctest runs the selftest in two modes. */
-    ExecMode mode = ExecMode::kBlock;
 };
 
 /**
@@ -131,7 +128,8 @@ FaultOutcome classifyOutcome(unsigned oracle_hits, RunStatus status,
  * Run one hand-picked fault against @p point: golden run, injected
  * run, classification — the seeded-defect fixture path (tests,
  * bench_inject --selftest). @p golden_out optionally receives the
- * golden record (clean-run oracle soundness checks).
+ * golden record (clean-run oracle soundness checks). Both modes must
+ * give the same record; campaigns always run in block mode.
  */
 FaultRunRecord runSingleFault(const SweepPoint &point,
                               const FaultSpec &fault,

@@ -3,9 +3,9 @@
  *  the word-granular invalidation audit — a 2-byte store straddling a
  *  block boundary re-forms both blocks — and the end-to-end acceptance
  *  case: a mid-block bit flip written by the running guest re-forms
- *  the block and the flipped instruction executes, identically with
- *  block execution on and off. Counter plumbing through the sweep
- *  JSONL stream is checked last. */
+ *  the block and the flipped instruction executes, identically in
+ *  block mode and in the per-cycle reference. Counter plumbing through
+ *  the sweep JSONL stream is checked last. */
 
 #include <gtest/gtest.h>
 
@@ -141,7 +141,7 @@ bareConfig(bool block_exec)
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.mode = block_exec ? ExecMode::kBlock : ExecMode::kFfPredecode;
+    cfg.mode = block_exec ? ExecMode::kBlock : ExecMode::kReference;
     cfg.maxCycles = 5000;
     cfg.watchdogCycles = 0;
     return cfg;
@@ -188,7 +188,7 @@ TEST(Blockexec, MidBlockBitFlipReformsTheBlockAndExecutesTheFlip)
     EXPECT_EQ(on.memOps, off.memOps);
     EXPECT_EQ(on.stallCycles, off.stallCycles);
     // The guest store re-decoded one text word and re-formed its
-    // block; with the knob off the index is never installed.
+    // block; the reference never installs the index.
     EXPECT_EQ(on.textInvalidations, 1u);
     EXPECT_GE(on.blockInvalidations, 1u);
     EXPECT_GT(on.blocksExecuted, 0u);
@@ -207,7 +207,7 @@ TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
 
     std::vector<SweepResult> on{runSweepPoint(p, false)};
     const std::vector<SweepResult> off{
-        runSweepPoint(p, false, ExecMode::kFfPredecode)};
+        runSweepPoint(p, false, ExecMode::kReference)};
 
     EXPECT_GT(on[0].run.throughput.cyclesBlockExecuted, 0u);
     EXPECT_GT(on[0].run.coreStats.blocksExecuted, 0u);

@@ -1,13 +1,17 @@
 /** Fault-injection engine tests: outcome classification (all five
  *  classes), fault-plan determinism, campaign thread-count
  *  independence, and seeded defects each runtime oracle is guaranteed
- *  to catch (context flip, TCB corruption, stack-canary smash). */
+ *  to catch (context flip, TCB corruption, FSM abort, stack-canary
+ *  smash), classified the same in block mode and in the reference. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "harness/experiment.hh"
@@ -160,6 +164,40 @@ TEST(FaultPlan, OnlyApplicableKindsArePlanned)
     }
 }
 
+/** The seeded-defect faults: each has a guaranteed detection path. */
+FaultSpec
+ctxFlipFault()
+{
+    FaultSpec f;
+    f.kind = FaultKind::kCtxFlip;
+    f.episode = 2;
+    f.word = 4;  // x5: compared at every resume
+    f.bitMask = 0xFF0;
+    return f;
+}
+
+FaultSpec
+tcbIdFlipFault()
+{
+    FaultSpec f;
+    f.kind = FaultKind::kTcbField;
+    f.episode = 2;
+    f.tcbField = kernel::kTcbId;  // breaks table<->TCB mapping
+    f.bitMask = 0x7;
+    f.taskSel = 1;
+    return f;
+}
+
+FaultSpec
+fsmAbortFault()
+{
+    FaultSpec f;
+    f.kind = FaultKind::kFsmAbort;
+    f.episode = 3;
+    f.cycles = 2;  // kill the store drain near its start
+    return f;
+}
+
 /** Seeded defects: each oracle must catch its guaranteed fixture and
  *  the paired clean run must stay silent (soundness). */
 class SeededDefect : public ::testing::Test
@@ -182,13 +220,8 @@ class SeededDefect : public ::testing::Test
 
 TEST_F(SeededDefect, ContextFlipCaughtByContextOracle)
 {
-    FaultSpec f;
-    f.kind = FaultKind::kCtxFlip;
-    f.episode = 2;
-    f.word = 4;  // x5: compared at every resume
-    f.bitMask = 0xFF0;
     for (const char *config : {"vanilla", "S", "SDLOT", "CV32RT"}) {
-        const FaultRunRecord rec = runFixture(config, f);
+        const FaultRunRecord rec = runFixture(config, ctxFlipFault());
         EXPECT_EQ(rec.outcome, FaultOutcome::kDetectedOracle)
             << config << ": " << faultOutcomeName(rec.outcome);
         EXPECT_EQ(rec.oracleName, "context") << rec.oracleDetail;
@@ -197,14 +230,8 @@ TEST_F(SeededDefect, ContextFlipCaughtByContextOracle)
 
 TEST_F(SeededDefect, TcbIdFlipCaughtByListOracle)
 {
-    FaultSpec f;
-    f.kind = FaultKind::kTcbField;
-    f.episode = 2;
-    f.tcbField = kernel::kTcbId;  // breaks table<->TCB mapping
-    f.bitMask = 0x7;
-    f.taskSel = 1;
     for (const char *config : {"vanilla", "T"}) {
-        const FaultRunRecord rec = runFixture(config, f);
+        const FaultRunRecord rec = runFixture(config, tcbIdFlipFault());
         EXPECT_EQ(rec.outcome, FaultOutcome::kDetectedOracle)
             << config << ": " << faultOutcomeName(rec.outcome);
         EXPECT_EQ(rec.oracleName, "list") << rec.oracleDetail;
@@ -213,14 +240,57 @@ TEST_F(SeededDefect, TcbIdFlipCaughtByListOracle)
 
 TEST_F(SeededDefect, FsmAbortCaughtByContextOracle)
 {
-    FaultSpec f;
-    f.kind = FaultKind::kFsmAbort;
-    f.episode = 3;
-    f.cycles = 2;  // kill the store drain near its start
-    const FaultRunRecord rec = runFixture("S", f);
+    const FaultRunRecord rec = runFixture("S", fsmAbortFault());
     EXPECT_EQ(rec.outcome, FaultOutcome::kDetectedOracle)
         << faultOutcomeName(rec.outcome);
     EXPECT_EQ(rec.oracleName, "context") << rec.oracleDetail;
+}
+
+/** The oracles observe architectural state only, so every seeded
+ *  defect must classify the same in block mode as in the per-cycle
+ *  reference, which has no predecoded image, fast-forward or block
+ *  execution. The runs here all exit before the cycle limit; a hang
+ *  would tick 20M cycles one at a time in the reference. */
+TEST_F(SeededDefect, BlockModeMatchesTheReference)
+{
+    const std::vector<std::pair<const char *, FaultSpec>> fixtures = {
+        {"vanilla", ctxFlipFault()}, {"S", ctxFlipFault()},
+        {"SDLOT", ctxFlipFault()},   {"CV32RT", ctxFlipFault()},
+        {"vanilla", tcbIdFlipFault()}, {"T", tcbIdFlipFault()},
+        {"S", fsmAbortFault()},
+    };
+    for (const auto &[config, fault] : fixtures) {
+        const SweepPoint pt = smallPoint(config);
+        const std::string label =
+            std::string(config) + "/" + fault.describe();
+        GoldenRecord gBlock, gRef;
+        const FaultRunRecord blk =
+            runSingleFault(pt, fault, &gBlock, ExecMode::kBlock);
+        const FaultRunRecord ref =
+            runSingleFault(pt, fault, &gRef, ExecMode::kReference);
+
+        EXPECT_EQ(gBlock.run.status, gRef.run.status) << label;
+        EXPECT_EQ(gBlock.run.cycles, gRef.run.cycles) << label;
+        EXPECT_EQ(gBlock.run.exitCode, gRef.run.exitCode) << label;
+        EXPECT_EQ(gBlock.events, gRef.events) << label;
+        EXPECT_EQ(gBlock.episodes, gRef.episodes) << label;
+        EXPECT_EQ(gBlock.oracleHits, gRef.oracleHits) << label;
+
+        EXPECT_EQ(blk.fired, ref.fired) << label;
+        EXPECT_EQ(blk.outcome, ref.outcome) << label;
+        EXPECT_EQ(blk.oracleHits, ref.oracleHits) << label;
+        EXPECT_EQ(blk.oracleName, ref.oracleName) << label;
+        EXPECT_EQ(blk.oracleCycle, ref.oracleCycle) << label;
+        EXPECT_EQ(blk.oracleEpisode, ref.oracleEpisode) << label;
+        EXPECT_EQ(blk.oracleDetail, ref.oracleDetail) << label;
+        EXPECT_EQ(blk.status, ref.status) << label;
+        EXPECT_EQ(blk.exitCode, ref.exitCode) << label;
+        EXPECT_EQ(blk.cycles, ref.cycles) << label;
+
+        // Keep the test fast: no run here may reach the cycle limit.
+        EXPECT_NE(gRef.run.status, RunStatus::kCycleLimit) << label;
+        EXPECT_NE(ref.status, RunStatus::kCycleLimit) << label;
+    }
 }
 
 TEST_F(SeededDefect, SmashedStackCanaryCaughtByFinalCheck)

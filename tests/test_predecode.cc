@@ -1,14 +1,12 @@
 /** Pre-decoded instruction store tests: image install/lookup and the
  *  write-invalidation contract (guest stores, sub-word and straddling
  *  writes, injected bit flips), wild-jump fetches ending the run as a
- *  typed guest fault, self-modifying code behaving identically with
- *  the image on and off, and the full 105-point config x workload
- *  differential: episodes, traces and counters byte-identical with the
- *  predecoded image enabled and disabled, in both fast-forward modes. */
+ *  typed guest fault, and self-modifying code behaving identically
+ *  with the image on (block mode) and off (the reference). The
+ *  matrix-wide image-on/off comparison is part of test_differential. */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -18,7 +16,6 @@
 #include "rtosunit/config.hh"
 #include "sim/memmap.hh"
 #include "sim/predecode.hh"
-#include "sweep/sweep.hh"
 
 namespace rtu {
 namespace {
@@ -150,7 +147,7 @@ bareConfig(bool predecode)
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.mode = predecode ? ExecMode::kBlock : ExecMode::kFfDecode;
+    cfg.mode = predecode ? ExecMode::kBlock : ExecMode::kReference;
     cfg.maxCycles = 5000;
     cfg.watchdogCycles = 0;
     return cfg;
@@ -226,89 +223,6 @@ TEST(Predecode, SelfModifyingStoreIsObservedByTheImage)
     // Fetch totals are mode-invariant: same instruction stream.
     EXPECT_EQ(on.fetchPredecoded + on.fetchSlowPath,
               off.fetchPredecoded + off.fetchSlowPath);
-}
-
-/** paperConfigs() + the three +HS composition points — the same
- *  matrix test_differential walks for ff-vs-reference. */
-std::vector<RtosUnitConfig>
-matrixConfigs()
-{
-    std::vector<RtosUnitConfig> units = RtosUnitConfig::paperConfigs();
-    for (const char *name : {"ST", "SDLOT", "SPLIT"}) {
-        RtosUnitConfig u = RtosUnitConfig::fromName(name);
-        u.hwsync = true;
-        units.push_back(u);
-    }
-    return units;
-}
-
-TEST(PredecodeDifferential, ImageOnMatchesImageOffAcrossTheMatrix)
-{
-    const std::vector<RtosUnitConfig> units = matrixConfigs();
-    const std::array<const char *, 7> workloads = {
-        "yield_pingpong", "round_robin",   "mutex_workload",
-        "delay_wake",     "sem_pingpong",  "priority_preempt",
-        "ext_interrupt"};
-    const std::array<CoreKind, 3> cores = {
-        CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax};
-
-    size_t idx = 0;
-    for (const RtosUnitConfig &unit : units) {
-        for (const char *w : workloads) {
-            SweepPoint p;
-            // Round-robin the cores over the matrix; alternate the
-            // image-on mode so both block execution and reference
-            // ticking are compared against decoding from memory.
-            p.core = cores[idx % cores.size()];
-            p.unit = unit;
-            p.workload = w;
-            p.iterations = 3;
-            p.reseed();
-            const ExecMode mode =
-                idx % 2 == 0 ? ExecMode::kBlock : ExecMode::kReference;
-            ++idx;
-
-            const SweepResult on = runSweepPoint(p, true, mode);
-            const SweepResult off =
-                runSweepPoint(p, true, ExecMode::kFfDecode);
-            const std::string key = p.key();
-
-            EXPECT_EQ(on.run.ok, off.run.ok) << key;
-            EXPECT_EQ(on.run.status, off.run.status) << key;
-            EXPECT_EQ(on.run.exitCode, off.run.exitCode) << key;
-            EXPECT_EQ(on.run.cycles, off.run.cycles) << key;
-
-            const CoreStats &a = on.run.coreStats;
-            const CoreStats &b = off.run.coreStats;
-            for (const auto &row : kCoreStatsTable) {
-                if (row.modeInvariant) {
-                    EXPECT_EQ(a.*row.member, b.*row.member)
-                        << key << " " << row.name;
-                }
-            }
-            // The split between the two fetch paths differs by
-            // design; the total is the same instruction stream.
-            EXPECT_EQ(a.fetchPredecoded + a.fetchSlowPath,
-                      b.fetchPredecoded + b.fetchSlowPath)
-                << key;
-            // No kernel workload jumps out of text: with the image
-            // on, every fetch is pre-decoded.
-            EXPECT_EQ(a.fetchSlowPath, 0u) << key;
-            EXPECT_EQ(b.fetchPredecoded, 0u) << key;
-
-            EXPECT_TRUE(on.run.switchLatency.samples() ==
-                        off.run.switchLatency.samples())
-                << key << ": switch-latency samples differ";
-            EXPECT_TRUE(on.run.episodeLatency.samples() ==
-                        off.run.episodeLatency.samples())
-                << key << ": episode-latency samples differ";
-            EXPECT_TRUE(on.trace == off.trace)
-                << key << ": episode trace JSONL differs ("
-                << on.trace.size() << " vs " << off.trace.size()
-                << " bytes)";
-        }
-    }
-    EXPECT_EQ(idx, 105u);  // 15 configurations x 7 workloads
 }
 
 } // namespace
