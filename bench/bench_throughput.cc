@@ -265,7 +265,7 @@ main(int argc, char **argv)
     std::ofstream os(out_path);
     if (!os)
         fatal("cannot open --out file '%s'", out_path.c_str());
-    os << "{\"schema\":4,\"iterations\":" << iterations
+    os << "{\"schema\":5,\"iterations\":" << iterations
        << ",\"timer_period\":" << timer_period
        << ",\"repeats\":" << repeats << ",\"results\":[";
     for (size_t i = 0; i < reports.size(); ++i) {

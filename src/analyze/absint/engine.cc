@@ -137,7 +137,7 @@ AbsintEngine::AbsintEngine(const Program &program)
     buildStackRanges();
     buildDataObjects();
     buildRegions();
-    buildBlockIndex();
+    buildBlocks();
 
     // Stack words are never cells (their loads read top), so only the
     // other data words get a slot.
@@ -159,7 +159,7 @@ AbsintEngine::AbsintEngine(const Program &program)
 }
 
 void
-AbsintEngine::buildBlockIndex()
+AbsintEngine::buildBlocks()
 {
     leaderIndex_.assign(program_.text.size(), -1);
     for (const auto &[leader, bb] : cfg_.blocks()) {

@@ -205,7 +205,7 @@ class AbsintEngine
     };
 
     void buildRegions();
-    void buildBlockIndex();
+    void buildBlocks();
     void buildStackRanges();
     void buildDataObjects();
     RegState rootEntry() const;

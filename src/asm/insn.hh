@@ -106,6 +106,19 @@ struct DecodedInsn
     bool valid() const { return op != Op::kInvalid; }
 };
 
+/**
+ * True if @p insn may run inside a block-execution window. CSR, system
+ * (ecall, ebreak, mret, wfi, fence) and RTOSUnit custom ops may trap,
+ * touch CSRs or stall on the unit, and an invalid word traps: the
+ * per-instruction path runs those.
+ */
+inline bool
+blockRunnable(const DecodedInsn &insn)
+{
+    return insn.valid() && insn.cls != InsnClass::kCsr &&
+           insn.cls != InsnClass::kSystem && insn.cls != InsnClass::kCustom;
+}
+
 /** Mnemonic, e.g. "addi". */
 const char *opName(Op op);
 

@@ -14,7 +14,6 @@
 #include "asm/decode.hh"
 #include "common/counters.hh"
 #include "executor.hh"
-#include "sim/blockexec.hh"
 #include "sim/clint.hh"
 #include "sim/irq.hh"
 #include "sim/kernel.hh"
@@ -59,9 +58,6 @@ struct CoreStats
     /** blockRun() entries or runs that bailed to the per-instruction
      *  path (stop instruction, unsafe memory access, uncovered pc). */
     std::uint64_t blockFallbacks = 0;
-    /** Block-summary words re-formed by text writes. Accounted at the
-     *  simulation level (the index is shared, not per-core). */
-    std::uint64_t blockInvalidations = 0;
 };
 
 /** CoreStats' counter table. The first eight rows are the
@@ -81,7 +77,6 @@ inline constexpr CounterRow<CoreStats> kCoreStatsTable[] = {
     {"text_invalidations", &CoreStats::textInvalidations, false},
     {"blocks_executed", &CoreStats::blocksExecuted, false},
     {"block_fallbacks", &CoreStats::blockFallbacks, false},
-    {"block_invalidations", &CoreStats::blockInvalidations, false},
 };
 static_assert(coversEveryField(kCoreStatsTable),
               "every CoreStats field needs exactly one kCoreStatsTable row");
@@ -103,17 +98,15 @@ class Core : public Clocked
         IrqLines *irq = nullptr;
         SharedPort *dmemPort = nullptr;
         Clint *clint = nullptr;
-        /** Decode-once text image; nullptr = always fetch via mem. */
+        /** Decode-once text image; nullptr = always fetch via mem and
+         *  never run in-block (the reference installs none). */
         const PredecodedImage *predecode = nullptr;
-        /** Superblock index over the image; nullptr disables the block
-         *  fast path (cores fall back to per-cycle ticking only). */
-        const BlockIndex *blockindex = nullptr;
     };
 
     explicit Core(const Env &env)
         : state_(*env.state), exec_(*env.exec), mem_(*env.mem),
           irq_(*env.irq), dmemPort_(*env.dmemPort), clint_(*env.clint),
-          predecode_(env.predecode), blockindex_(env.blockindex)
+          predecode_(env.predecode)
     {}
     virtual ~Core() = default;
 
@@ -191,15 +184,6 @@ class Core : public Clocked
         return state_.reg(insn.rs1) + static_cast<Word>(insn.imm);
     }
 
-    /** The word at @p pc may run in-block: the index covers it and it
-     *  is not a stop word. */
-    bool
-    blockCovers(Addr pc) const
-    {
-        return blockindex_->covers(pc) &&
-               !(blockindex_->flagsAt(pc) & BlockIndex::kStop);
-    }
-
     /** @p insn, about to run in-block, is not a load/store whose
      *  access leaves plain SRAM. */
     bool
@@ -210,17 +194,18 @@ class Core : public Clocked
                blockSafeAccess(effectiveAddr(insn), accessSize(insn.op));
     }
 
-    /** Both pre-validations for the word at @p pc: its pre-decoded
-     *  instruction, or nullptr if the per-instruction path must run
-     *  it. A bail has no effects, so the caller's cycle stays wholly
-     *  unconsumed. */
+    /** Every pre-validation for the word at @p pc, straight from the
+     *  image (which re-decodes text writes, so this is never stale):
+     *  its pre-decoded instruction, or nullptr if the per-instruction
+     *  path must run it. A bail has no effects, so the caller's cycle
+     *  stays wholly unconsumed. */
     const DecodedInsn *
     blockInsnAt(Addr pc) const
     {
-        if (!blockCovers(pc))
+        if (!predecode_->covers(pc))
             return nullptr;
         const DecodedInsn &insn = predecode_->at(pc);
-        return blockSafe(insn) ? &insn : nullptr;
+        return blockRunnable(insn) && blockSafe(insn) ? &insn : nullptr;
     }
 
     /** Superblock bookkeeping of one blockRun() call. */
@@ -281,7 +266,6 @@ class Core : public Clocked
     SharedPort &dmemPort_;
     Clint &clint_;
     const PredecodedImage *predecode_;
-    const BlockIndex *blockindex_;
     CoreListener *listener_ = nullptr;
     CoreStats stats_;
 };

@@ -192,7 +192,7 @@ Cv32e40pCore::tick(Cycle now)
 Cycle
 Cv32e40pCore::blockRun(Cycle now, Cycle bound)
 {
-    if (blockindex_ == nullptr || remaining_ > 0 || sleeping_ ||
+    if (predecode_ == nullptr || remaining_ > 0 || sleeping_ ||
         exec_.interruptReady()) {
         return 0;
     }
@@ -203,54 +203,36 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
     // stall, advanced in closed form.
     Cycle t = now;
     BlockTally tally;
-    while (t < bound && !tally.bailed) {
-        const Addr head = state_.pc();
-        if (!blockCovers(head)) {
+    while (t < bound) {
+        const Addr pc = state_.pc();
+        const DecodedInsn *next = blockInsnAt(pc);
+        if (!next) {
             tally.bailed = true;
             break;
         }
-        // Block-entry fast path: a store-free run whose worst-case cost
-        // (plus one inherited load-use stall of margin) fits the
-        // horizon needs no per-word re-validation. Otherwise step one
-        // word at a time: a store may re-form the very block being
-        // executed, and the bound may land mid-instruction.
-        const std::uint32_t run = blockindex_->runLenAt(head);
-        const bool whole =
-            !(blockindex_->flagsAt(head) & BlockIndex::kSuffixStore) &&
-            t + blockindex_->worstCyclesAt(head) + params_.loadUseStall <=
-                bound;
+        // A copy, as tick() fetches one: a store may re-decode the
+        // very word it executes from.
+        const DecodedInsn insn = *next;
+        // The port-reset component is not ticking while we run.
+        if (insn.cls == InsnClass::kLoad || insn.cls == InsnClass::kStore)
+            dmemPort_.beginCycle();
+        ++stats_.fetchPredecoded;
+        issue(insn, pc, t);
+        blockRetired(tally, insn.cls);
 
-        for (std::uint32_t i = whole ? run : 1; i > 0; --i) {
-            const Addr pc = state_.pc();
-            // A copy, as tick() fetches one: a store may re-decode the
-            // very word it executes from.
-            const DecodedInsn insn = predecode_->at(pc);
-            if (!blockSafe(insn)) {
-                tally.bailed = true;
-                break;
-            }
-            // The port-reset component is not ticking while we run.
-            if (insn.cls == InsnClass::kLoad ||
-                insn.cls == InsnClass::kStore)
-                dmemPort_.beginCycle();
-            ++stats_.fetchPredecoded;
-            issue(insn, pc, t);
-            blockRetired(tally, insn.cls);
-
-            if (t + 1 + remaining_ > bound) {
-                // The issue cycle and bound-t-1 stall cycles land
-                // inside the window; the in-flight remainder resumes
-                // per-cycle, exactly the reference state at the bound.
-                const Cycle inside = bound - t - 1;
-                stats_.stallCycles += inside;
-                remaining_ -= static_cast<unsigned>(inside);
-                t = bound;
-                break;
-            }
-            stats_.stallCycles += remaining_;
-            t += 1 + remaining_;
-            remaining_ = 0;
+        if (t + 1 + remaining_ > bound) {
+            // The issue cycle and bound-t-1 stall cycles land inside
+            // the window; the in-flight remainder resumes per-cycle,
+            // exactly the reference state at the bound.
+            const Cycle inside = bound - t - 1;
+            stats_.stallCycles += inside;
+            remaining_ -= static_cast<unsigned>(inside);
+            t = bound;
+            break;
         }
+        stats_.stallCycles += remaining_;
+        t += 1 + remaining_;
+        remaining_ = 0;
     }
     return blockClose(tally, now, t);
 }

@@ -51,7 +51,8 @@ class Cv32e40pCore final : public Core
     void skipTo(Cycle now, Cycle target) override;
 
     /** Superblock fast path: execute straight-line runs up to the
-     *  event horizon with one bound check per block. */
+     *  event horizon, validating each word from the predecoded image
+     *  and advancing its stall in closed form. */
     Cycle blockRun(Cycle now, Cycle bound) override;
 
     const char *name() const override { return "cv32e40p"; }

@@ -265,7 +265,7 @@ Cva6Core::issue(Cycle now)
 Cycle
 Cva6Core::blockRun(Cycle now, Cycle bound)
 {
-    if (blockindex_ == nullptr || mretPending_ || sleeping_ ||
+    if (predecode_ == nullptr || mretPending_ || sleeping_ ||
         exec_.interruptReady()) {
         return 0;
     }
@@ -285,7 +285,7 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
         // Pre-validate before applying any cycle-t effect, so a bail
         // leaves cycle t wholly unconsumed for the per-cycle path.
         // Re-checked every word: an in-block store to text may have
-        // re-formed the very run being executed.
+        // re-decoded the very word about to run.
         const DecodedInsn *insn = blockInsnAt(state_.pc());
         if (!insn) {
             tally.bailed = true;

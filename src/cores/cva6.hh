@@ -60,9 +60,7 @@ class Cva6Core final : public Core
     void skipTo(Cycle now, Cycle target) override;
 
     /** Superblock fast path: issue straight-line runs up to the event
-     *  horizon, re-validating each word against the block index (the
-     *  scoreboard/cache state makes a static block cost impossible, so
-     *  unlike CV32E40P every step is checked). */
+     *  horizon, validating each word from the predecoded image. */
     Cycle blockRun(Cycle now, Cycle bound) override;
 
     const char *name() const override { return "cva6"; }

@@ -439,7 +439,7 @@ NaxCore::blockRun(Cycle now, Cycle bound)
 {
     // Wider front-ends would need deeper group pre-verification than
     // the two-slot analysis below.
-    if (blockindex_ == nullptr || params_.dispatchWidth > 2 ||
+    if (predecode_ == nullptr || params_.dispatchWidth > 2 ||
         mretPending_ || sleeping_ || exec_.interruptReady()) {
         return 0;
     }

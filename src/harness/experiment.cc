@@ -30,7 +30,6 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
     sconfig.maxCycles = winfo.maxCycles;
     sconfig.naxCtxQueueEntries = opts.naxCtxQueueEntries;
     sconfig.mode = opts.mode;
-    sconfig.watchdogCycles = opts.watchdogCycles;
 
     Simulation sim(sconfig, program);
     const std::vector<Cycle> &extSchedule =

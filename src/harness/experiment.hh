@@ -90,8 +90,6 @@ struct RunOptions
     std::uint64_t seed = 0;
     /** Execution mode (bit-exact perf knob; see ExecMode). */
     ExecMode mode = ExecMode::kBlock;
-    /** No-retire watchdog threshold; 0 disables. */
-    std::uint64_t watchdogCycles = 2'000'000;
     /**
      * Replace the workload's external-interrupt schedule (the
      * fault-injection campaign's dropped/spurious/coalesced IRQ

@@ -88,16 +88,12 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     taskIdAddr_ = program.symbol("currentTaskId");
 
     // Block mode decodes the whole text segment once, so per-cycle
-    // fetch becomes an array index (stores and injected faults landing
-    // in text re-decode the touched words through the write observer),
-    // and indexes it into superblocks: straight-line run lengths and
-    // worst-case block costs, kept coherent with text writes via the
-    // image's invalidation listener. The reference installs neither
-    // and decodes every fetch from memory.
-    if (config_.mode == ExecMode::kBlock && !program.text.empty()) {
+    // fetch becomes an array index and block execution validates each
+    // word from the image (stores and injected faults landing in text
+    // re-decode the touched words through the write observer). The
+    // reference installs no image and decodes every fetch from memory.
+    if (config_.mode == ExecMode::kBlock && !program.text.empty())
         predecode_.install(mem_, program.textBase, program.text.size());
-        blockindex_.install(predecode_, Cv32e40pCostParams{});
-    }
 
     state_.setPc(program.textBase);
     exec_.setClock(kernel_.clockPtr());
@@ -114,8 +110,6 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     env.clint = &clint_;
     if (predecode_.installed())
         env.predecode = &predecode_;
-    if (blockindex_.installed())
-        env.blockindex = &blockindex_;
 
     NaxCore *nax = nullptr;
     switch (config_.core) {

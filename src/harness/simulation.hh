@@ -18,7 +18,6 @@
 #include "rtosunit/config.hh"
 #include "rtosunit/cv32rt.hh"
 #include "rtosunit/rtosunit.hh"
-#include "sim/blockexec.hh"
 #include "sim/clint.hh"
 #include "sim/hostio.hh"
 #include "sim/irq.hh"
@@ -153,7 +152,6 @@ class Simulation : public CoreListener, public PhaseObserver
     {
         CoreStats s = core_->stats();
         s.textInvalidations = predecode_.invalidations();
-        s.blockInvalidations = blockindex_.invalidations();
         return s;
     }
     RtosUnit *unit() { return unit_.get(); }
@@ -225,7 +223,6 @@ class Simulation : public CoreListener, public PhaseObserver
     ArchState state_;
     Executor exec_;
     PredecodedImage predecode_;
-    BlockIndex blockindex_;
     SharedPort dmemPort_;
     SharedPort busPort_;
     PortReset portReset_;

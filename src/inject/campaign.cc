@@ -299,6 +299,52 @@ runInstrumented(const SweepPoint &point, const FaultSpec *fault,
     return out;
 }
 
+/** The golden record of clean run @p r of @p point; a firing oracle
+ *  is named as `oracle@cycle: detail`. */
+GoldenRecord
+goldenRecord(const SweepPoint &point, const InstrumentedRun &r)
+{
+    GoldenRecord g;
+    g.point = point;
+    g.run = r.run;
+    g.events = r.events;
+    g.episodes = r.episodes;
+    g.oracleHits = r.oracleHits;
+    if (!r.hits.empty()) {
+        const OracleHit &h = r.hits.front();
+        g.oracleDetail =
+            csprintf("%s@%llu: %s", h.oracle.c_str(),
+                     static_cast<unsigned long long>(h.cycle),
+                     h.detail.c_str());
+    }
+    return g;
+}
+
+/** The record of run @p r injected with @p fault, classified against
+ *  its point's @p golden. */
+FaultRunRecord
+faultRecord(const FaultSpec &fault, const InstrumentedRun &r,
+            const GoldenRecord &golden)
+{
+    FaultRunRecord rec;
+    rec.fault = fault;
+    rec.fired = r.injectorFired;
+    rec.oracleHits = r.oracleHits;
+    if (!r.hits.empty()) {
+        const OracleHit &h = r.hits.front();
+        rec.oracleName = h.oracle;
+        rec.oracleCycle = h.cycle;
+        rec.oracleEpisode = h.episode;
+        rec.oracleDetail = h.detail;
+    }
+    rec.status = r.run.status;
+    rec.exitCode = r.run.exitCode;
+    rec.cycles = r.run.cycles;
+    rec.outcome = classifyOutcome(r.oracleHits, r.run.status,
+                                  r.run.exitCode, r.events, golden);
+    return rec;
+}
+
 } // namespace
 
 FaultOutcome
@@ -374,35 +420,10 @@ FaultRunRecord
 runSingleFault(const SweepPoint &point, const FaultSpec &fault,
                GoldenRecord *golden_out, ExecMode mode)
 {
-    GoldenRecord golden;
-    {
-        const InstrumentedRun g = runInstrumented(point, nullptr, mode);
-        golden.point = point;
-        golden.run = g.run;
-        golden.events = g.events;
-        golden.episodes = g.episodes;
-        golden.oracleHits = g.oracleHits;
-        if (!g.hits.empty())
-            golden.oracleDetail = g.hits.front().detail;
-    }
-
-    const InstrumentedRun r = runInstrumented(point, &fault, mode);
-    FaultRunRecord rec;
-    rec.fault = fault;
-    rec.fired = r.injectorFired;
-    rec.oracleHits = r.oracleHits;
-    if (!r.hits.empty()) {
-        const OracleHit &h = r.hits.front();
-        rec.oracleName = h.oracle;
-        rec.oracleCycle = h.cycle;
-        rec.oracleEpisode = h.episode;
-        rec.oracleDetail = h.detail;
-    }
-    rec.status = r.run.status;
-    rec.exitCode = r.run.exitCode;
-    rec.cycles = r.run.cycles;
-    rec.outcome = classifyOutcome(r.oracleHits, r.run.status,
-                                  r.run.exitCode, r.events, golden);
+    const GoldenRecord golden =
+        goldenRecord(point, runInstrumented(point, nullptr, mode));
+    const FaultRunRecord rec =
+        faultRecord(fault, runInstrumented(point, &fault, mode), golden);
     if (golden_out)
         *golden_out = golden;
     return rec;
@@ -420,20 +441,7 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     // Stage 1: golden references, sharded across the pool.
     runner.forEachIndex(spec.points.size(), [&](std::size_t i) {
         const SweepPoint &pt = spec.points[i];
-        const InstrumentedRun r = runInstrumented(pt, nullptr);
-        GoldenRecord &g = res.goldens[i];
-        g.point = pt;
-        g.run = r.run;
-        g.events = r.events;
-        g.episodes = r.episodes;
-        g.oracleHits = r.oracleHits;
-        if (!r.hits.empty()) {
-            const OracleHit &h = r.hits.front();
-            g.oracleDetail = csprintf("%s@%llu: %s", h.oracle.c_str(),
-                                      static_cast<unsigned long long>(
-                                          h.cycle),
-                                      h.detail.c_str());
-        }
+        res.goldens[i] = goldenRecord(pt, runInstrumented(pt, nullptr));
     });
 
     // Fault plans are pure functions of (seed, point); generate them
@@ -459,25 +467,10 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     runner.forEachIndex(plan.size(), [&](std::size_t j) {
         const PlannedFault &pf = plan[j];
         const SweepPoint &pt = spec.points[pf.pointIndex];
-        const InstrumentedRun r = runInstrumented(pt, &pf.fault);
         FaultRunRecord &rec = res.faults[j];
+        rec = faultRecord(pf.fault, runInstrumented(pt, &pf.fault),
+                          res.goldens[pf.pointIndex]);
         rec.pointIndex = pf.pointIndex;
-        rec.fault = pf.fault;
-        rec.fired = r.injectorFired;
-        rec.oracleHits = r.oracleHits;
-        if (!r.hits.empty()) {
-            const OracleHit &h = r.hits.front();
-            rec.oracleName = h.oracle;
-            rec.oracleCycle = h.cycle;
-            rec.oracleEpisode = h.episode;
-            rec.oracleDetail = h.detail;
-        }
-        rec.status = r.run.status;
-        rec.exitCode = r.run.exitCode;
-        rec.cycles = r.run.cycles;
-        rec.outcome =
-            classifyOutcome(r.oracleHits, r.run.status, r.run.exitCode,
-                            r.events, res.goldens[pf.pointIndex]);
     });
     return res;
 }

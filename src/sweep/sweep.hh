@@ -136,13 +136,17 @@ SweepResult runSweepPoint(const SweepPoint &point, bool capture_trace,
  * same convention bench_sched/bench_throughput use). Bump when result
  * lines gain, lose or re-type fields — consumers skip streams from
  * another generation instead of misparsing them.
- * v2: block-execution counters (blocks_executed, block_fallbacks,
- *     block_invalidations).
+ * v2: block-execution counters (blocks_executed, block_fallbacks and
+ *     the block-index re-form count).
  * v3: every SimKernelStats and CoreStats counter, written from their
  *     tables (kSimKernelStatsTable, then kCoreStatsTable) right after
  *     `cycles`; every v2 field keeps its name and value.
+ * v4: the block-index re-form count removed (block execution
+ *     validates each word from the predecoded image, so there is no
+ *     index to re-form); text_invalidations still counts re-decoded
+ *     words.
  */
-constexpr unsigned kSweepResultsSchema = 3;
+constexpr unsigned kSweepResultsSchema = 4;
 
 /** One schema-stamped header object: `{"schema":N,"bench":"<name>"}`.
  *  Written as the first line of every sweep bench's --out stream. */

@@ -249,12 +249,6 @@ WcetAnalyzer::worstFrom(Addr pc, std::map<Addr, unsigned> budgets,
     }
 }
 
-std::uint64_t
-WcetAnalyzer::analyzeFunction(const std::string &symbol)
-{
-    return worstFrom(program_.symbol(symbol), {}, 0).cycles;
-}
-
 WcetResult
 WcetAnalyzer::analyzeIsr()
 {

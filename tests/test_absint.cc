@@ -335,8 +335,10 @@ stateLine(const RegState *st)
     if (!st)
         return "none\n";
     std::string s = st->live ? "live" : "dead";
-    for (const AbsVal &v : st->v)
-        s += " " + v.str();
+    for (const AbsVal &v : st->v) {
+        s += ' ';
+        s += v.str();
+    }
     return s + "\n";
 }
 
@@ -368,11 +370,15 @@ TEST(AbsintPin, EngineStateOfEveryGeneratedProgramIsPinned)
                         stateLine(engine.edgeState(leader, to));
         }
         dump += "taken";
-        for (Addr pc : engine.infeasibleTaken())
-            dump += " " + std::to_string(pc);
+        for (Addr pc : engine.infeasibleTaken()) {
+            dump += ' ';
+            dump += std::to_string(pc);
+        }
         dump += "\nfall";
-        for (Addr pc : engine.infeasibleFall())
-            dump += " " + std::to_string(pc);
+        for (Addr pc : engine.infeasibleFall()) {
+            dump += ' ';
+            dump += std::to_string(pc);
+        }
         dump += "\n";
         for (size_t i = 0; i < p.data.size(); ++i)
             dump += engine.cellValue(p.dataBase + 4 * static_cast<Addr>(i))

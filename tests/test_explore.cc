@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <filesystem>
@@ -230,6 +231,11 @@ class ExploreEngine : public ::testing::Test
 TEST_F(ExploreEngine, ColdThenWarmCacheIsByteIdenticalAndTenTimesFaster)
 {
     using clock = std::chrono::steady_clock;
+    const auto usSince = [](clock::time_point t0) {
+        return std::chrono::duration_cast<std::chrono::microseconds>(
+                   clock::now() - t0)
+            .count();
+    };
     // Enough cold simulation work (3 configs x full suite x 40
     // iterations, single-threaded) that the >= 10x timing assertion
     // has real margin: warm-side cost is one small file parse and
@@ -243,40 +249,53 @@ TEST_F(ExploreEngine, ColdThenWarmCacheIsByteIdenticalAndTenTimesFaster)
     spec.threads = 1;
     const size_t nPoints = 3 * standardWorkloadNames().size();
 
-    const auto t0 = clock::now();
-    Explorer cold(spec);
-    const auto coldEvals = cold.evaluate();
-    const auto t1 = clock::now();
-    ASSERT_EQ(coldEvals.size(), 3u);
-    EXPECT_TRUE(coldEvals[0].ok);
-    EXPECT_EQ(cold.stats().sweepPoints, nPoints);
-    EXPECT_EQ(cold.stats().simulated, nPoints);
-    EXPECT_EQ(cold.stats().cacheHits, 0u);
+    // Each side is timed as the min of three runs, so one run slowed
+    // by a busy host cannot decide the ratio. Every cold run gets a
+    // fresh cache directory; the warm runs read the last one.
+    std::string coldReport, coldMd;
+    auto coldUs = std::numeric_limits<std::int64_t>::max();
+    for (int i = 0; i < 3; ++i) {
+        spec.cacheDir = dir_ + "/cold" + std::to_string(i);
+        const auto t0 = clock::now();
+        Explorer cold(spec);
+        const auto coldEvals = cold.evaluate();
+        coldUs = std::min<std::int64_t>(coldUs, usSince(t0));
+        ASSERT_EQ(coldEvals.size(), 3u);
+        EXPECT_TRUE(coldEvals[0].ok);
+        EXPECT_EQ(cold.stats().sweepPoints, nPoints);
+        EXPECT_EQ(cold.stats().simulated, nPoints);
+        EXPECT_EQ(cold.stats().cacheHits, 0u);
+        std::ostringstream md;
+        writeFrontierMarkdown(md, coldEvals, kLatArea);
+        if (i == 0) {
+            coldReport = report(spec, coldEvals);
+            coldMd = md.str();
+        }
+        EXPECT_EQ(report(spec, coldEvals), coldReport);
+        EXPECT_EQ(md.str(), coldMd);
+    }
 
-    const auto t2 = clock::now();
-    Explorer warm(spec);
-    const auto warmEvals = warm.evaluate();
-    const auto t3 = clock::now();
-    // Zero simulations: everything served from the JSONL cache.
-    EXPECT_EQ(warm.stats().simulated, 0u);
-    EXPECT_EQ(warm.stats().cacheHits, nPoints);
+    auto warmUs = std::numeric_limits<std::int64_t>::max();
+    for (int i = 0; i < 3; ++i) {
+        const auto t0 = clock::now();
+        Explorer warm(spec);
+        const auto warmEvals = warm.evaluate();
+        warmUs = std::min<std::int64_t>(warmUs, usSince(t0));
+        // Zero simulations: everything served from the JSONL cache.
+        EXPECT_EQ(warm.stats().simulated, 0u);
+        EXPECT_EQ(warm.stats().cacheHits, nPoints);
 
-    // Byte-identical frontier and evaluations.
-    EXPECT_EQ(report(spec, coldEvals), report(spec, warmEvals));
-    std::ostringstream mdCold, mdWarm;
-    writeFrontierMarkdown(mdCold, coldEvals, kLatArea);
-    writeFrontierMarkdown(mdWarm, warmEvals, kLatArea);
-    EXPECT_EQ(mdCold.str(), mdWarm.str());
+        // Byte-identical frontier and evaluations.
+        EXPECT_EQ(report(spec, warmEvals), coldReport);
+        std::ostringstream md;
+        writeFrontierMarkdown(md, warmEvals, kLatArea);
+        EXPECT_EQ(md.str(), coldMd);
+    }
 
     // The cache must buy at least 10x (in practice it's 100x+: file
     // parse vs cycle-level simulation of four workload runs).
-    const auto coldUs =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0);
-    const auto warmUs =
-        std::chrono::duration_cast<std::chrono::microseconds>(t3 - t2);
-    EXPECT_GE(coldUs.count(), 10 * warmUs.count())
-        << "cold " << coldUs.count() << "us vs warm "
-        << warmUs.count() << "us";
+    EXPECT_GE(coldUs, 10 * warmUs)
+        << "cold " << coldUs << "us vs warm " << warmUs << "us";
 }
 
 TEST_F(ExploreEngine, CacheToleratesCorruptAndForeignSchemaLines)
