@@ -8,7 +8,10 @@
 #ifndef RTU_CORES_CORE_HH
 #define RTU_CORES_CORE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "arch_state.hh"
 #include "asm/decode.hh"
@@ -87,6 +90,42 @@ counterRows(const CoreStats &)
     return kCoreStatsTable;
 }
 
+/**
+ * Bimodal branch predictor (CVA6, NaxRiscv): one 2-bit saturating
+ * counter per entry, indexed by word address modulo the power-of-two
+ * entry count, every counter starting weakly not-taken.
+ */
+class BimodalPredictor
+{
+  public:
+    explicit BimodalPredictor(unsigned entries) : ctr_(entries, 1) {}
+
+    /** Predicted direction of the branch at @p pc. */
+    bool predictTaken(Addr pc) const { return ctr_[index(pc)] >= 2; }
+
+    /** Train on the resolved direction; true on a misprediction. */
+    bool
+    resolve(Addr pc, bool taken)
+    {
+        std::uint8_t &ctr = ctr_[index(pc)];
+        const bool miss = (ctr >= 2) != taken;
+        if (taken) {
+            if (ctr < 3)
+                ++ctr;
+        } else if (ctr > 0) {
+            --ctr;
+        }
+        return miss;
+    }
+
+  private:
+    std::size_t index(Addr pc) const { return (pc >> 2) & (ctr_.size() - 1); }
+
+    std::vector<std::uint8_t> ctr_;
+};
+
+/** Every rule the three timing models share, written once; each core
+ *  adds only its own timing model. */
 class Core : public Clocked
 {
   public:
@@ -96,7 +135,9 @@ class Core : public Clocked
         Executor *exec = nullptr;
         MemSystem *mem = nullptr;
         IrqLines *irq = nullptr;
-        SharedPort *dmemPort = nullptr;
+        /** The core's memory port (CV32E40P DMEM, CVA6 bus, NaxRiscv
+         *  D$), shared at lower priority with the RTOSUnit. */
+        SharedPort *port = nullptr;
         Clint *clint = nullptr;
         /** Decode-once text image; nullptr = always fetch via mem and
          *  never run in-block (the reference installs none). */
@@ -105,7 +146,7 @@ class Core : public Clocked
 
     explicit Core(const Env &env)
         : state_(*env.state), exec_(*env.exec), mem_(*env.mem),
-          irq_(*env.irq), dmemPort_(*env.dmemPort), clint_(*env.clint),
+          irq_(*env.irq), port_(*env.port), clint_(*env.clint),
           predecode_(env.predecode)
     {}
     virtual ~Core() = default;
@@ -159,6 +200,89 @@ class Core : public Clocked
             listener_->trapTaken(cause, now);
     }
 
+    /** True while the RTOSUnit holds @p insn back (a custom
+     *  instruction or mret waiting on a unit FSM). */
+    bool
+    stalledByUnit(const DecodedInsn &insn) const
+    {
+        RtosUnitPort *unit = exec_.unit();
+        if (!unit)
+            return false;
+        switch (insn.op) {
+          case Op::kSwitchRf: return unit->switchRfStall();
+          case Op::kGetHwSched: return unit->getHwSchedStall();
+          case Op::kMret: return unit->mretStall();
+          case Op::kSemTake:
+          case Op::kSemGive:
+            return unit->semOpStall();
+          default: return false;
+        }
+    }
+
+    /** An mret issued; its completion (the paper's latency end point)
+     *  fires at the first tick at or after @p done. */
+    void
+    mretIssued(Cycle done)
+    {
+        ++stats_.mrets;
+        mretPending_ = true;
+        mretDoneAt_ = done;
+    }
+
+    /** The top of every tick(), after the port reset: fire a due mret
+     *  completion, then wake from wfi on a pending enabled interrupt.
+     *  True when the core sleeps through this cycle. */
+    bool
+    protocolTick(Cycle now)
+    {
+        if (mretPending_ && now >= mretDoneAt_) {
+            mretPending_ = false;
+            if (listener_)
+                listener_->mretCompleted(now);
+        }
+        if (!sleeping_)
+            return false;
+        if (exec_.pendingEnabledIrqs() != 0) {
+            sleeping_ = false;
+            return false;
+        }
+        ++stats_.wfiCycles;
+        return true;
+    }
+
+    /** The start of every nextEventAt(): while an mret completion or a
+     *  wfi sleep is pending, it alone decides the next event, stored
+     *  in @p at. */
+    bool
+    protocolEventAt(Cycle now, Cycle &at) const
+    {
+        if (mretPending_)
+            at = std::max(now, mretDoneAt_);
+        else if (sleeping_)
+            at = exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+        else
+            return false;
+        return true;
+    }
+
+    /** blockRun() may start: there is an image to run from, and no
+     *  mret completion, wfi wake-up or interrupt is due. */
+    bool
+    blockEntryOpen() const
+    {
+        return predecode_ != nullptr && !mretPending_ && !sleeping_ &&
+               !exec_.interruptReady();
+    }
+
+    /** Significant dividend bits of the divide @p insn (at least one),
+     *  the data-dependent part of every divider's latency. Read before
+     *  the divide executes: rd may alias rs1. */
+    unsigned
+    divOperandBits(const DecodedInsn &insn) const
+    {
+        return 32 - std::countl_zero(state_.reg(insn.rs1) | 1);
+    }
+
     /**
      * True if the in-block data access [@p ea, @p ea + @p size) is
      * contained in plain SRAM (imem or dmem). Anything else — CLINT,
@@ -169,10 +293,7 @@ class Core : public Clocked
     bool
     blockSafeAccess(Addr ea, unsigned size) const
     {
-        return (ea >= memmap::kImemBase &&
-                ea + size <= memmap::kImemBase + memmap::kImemSize) ||
-               (ea >= memmap::kDmemBase &&
-                ea + size <= memmap::kDmemBase + memmap::kDmemSize);
+        return memmap::inImem(ea, size) || memmap::inDmem(ea, size);
     }
 
     /** Effective address of a load/store, from the current registers
@@ -263,11 +384,16 @@ class Core : public Clocked
     Executor &exec_;
     MemSystem &mem_;
     IrqLines &irq_;
-    SharedPort &dmemPort_;
+    SharedPort &port_;
     Clint &clint_;
     const PredecodedImage *predecode_;
     CoreListener *listener_ = nullptr;
     CoreStats stats_;
+    /** Sleeping in wfi. */
+    bool sleeping_ = false;
+    /** An issued mret completes at the first tick >= mretDoneAt_. */
+    bool mretPending_ = false;
+    Cycle mretDoneAt_ = 0;
 };
 
 } // namespace rtu

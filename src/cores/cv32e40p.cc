@@ -1,32 +1,10 @@
 #include "cv32e40p.hh"
 
-#include <bit>
-
 namespace rtu {
 
-bool
-Cv32e40pCore::stalledByUnit(const DecodedInsn &insn) const
-{
-    RtosUnitPort *unit = exec_.unit();
-    if (!unit)
-        return false;
-    switch (insn.op) {
-      case Op::kSwitchRf:
-        return unit->switchRfStall();
-      case Op::kGetHwSched:
-        return unit->getHwSchedStall();
-      case Op::kMret:
-        return unit->mretStall();
-      case Op::kSemTake:
-      case Op::kSemGive:
-        return unit->semOpStall();
-      default:
-        return false;
-    }
-}
-
 unsigned
-Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res) const
+Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res,
+                     unsigned div_bits) const
 {
     switch (insn.cls) {
       case InsnClass::kJump:
@@ -35,7 +13,7 @@ Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res) const
         return res.branchTaken ? params_.takenBranchCycles : 1;
       case InsnClass::kDiv:
         // Iterative divider: latency scales with dividend magnitude.
-        return params_.divBaseCycles + divOperandBits_;
+        return params_.divBaseCycles + div_bits;
       case InsnClass::kSystem:
         if (insn.op == Op::kMret)
             return params_.mretCycles;
@@ -48,16 +26,13 @@ Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res) const
 Cycle
 Cv32e40pCore::nextEventAt(Cycle now) const
 {
-    if (remaining_ > 0) {
-        // An abortable stall collapses the moment an interrupt is
-        // ready; otherwise the countdown is pure until the tick that
-        // retires it (which may fire the mret listener).
-        if (abortable_ && exec_.interruptReady())
-            return now;
-        return now + remaining_ - 1;
-    }
-    if (sleeping_)
-        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+    Cycle at;
+    if (protocolEventAt(now, at))
+        return at;
+    // A stall is pure up to the next issue, unless it is abortable and
+    // collapses the moment an interrupt is ready.
+    if (remaining_ > 0 && !(abortable_ && exec_.interruptReady()))
+        return now + remaining_;
     return now;
 }
 
@@ -65,14 +40,13 @@ void
 Cv32e40pCore::skipTo(Cycle now, Cycle target)
 {
     const Cycle delta = target - now;
-    if (remaining_ > 0) {
-        rtu_assert(delta < remaining_, "skip across a stall boundary");
-        remaining_ -= static_cast<unsigned>(delta);
-        stats_.stallCycles += delta;
+    if (sleeping_) {
+        stats_.wfiCycles += delta;
         return;
     }
-    if (sleeping_)
-        stats_.wfiCycles += delta;
+    rtu_assert(delta <= remaining_, "skip across a stall boundary");
+    remaining_ -= static_cast<unsigned>(delta);
+    stats_.stallCycles += delta;
 }
 
 // Inlined into both callers: the block loop below is the simulator's
@@ -93,14 +67,8 @@ Cv32e40pCore::issue(const DecodedInsn &insn, Addr pc, Cycle now)
             extra = params_.loadUseStall;
     }
 
-    // Capture the dividend before execution mutates the register file
-    // (rd may alias rs1).
-    divOperandBits_ = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        divOperandBits_ = 32 - std::countl_zero(dividend | 1);
-    }
-
+    const unsigned div_bits =
+        cls == InsnClass::kDiv ? divOperandBits(insn) : 0;
     const ExecResult res = exec_.execute(insn, pc);
 
     if (res.trap) {
@@ -113,27 +81,21 @@ Cv32e40pCore::issue(const DecodedInsn &insn, Addr pc, Cycle now)
     ++stats_.instret;
 
     if (res.memAccess) {
-        dmemPort_.claim();
+        port_.claim();
         ++stats_.memOps;
     }
 
     if (res.isWfi)
         sleeping_ = true;
 
-    const unsigned cost = costOf(insn, res) + extra;
+    const unsigned cost = costOf(insn, res, div_bits) + extra;
     remaining_ = cost - 1;
     abortable_ =
         remaining_ > 0 && (cls == InsnClass::kDiv || cls == InsnClass::kMul);
 
-    if (insn.op == Op::kMret) {
-        ++stats_.mrets;
-        if (remaining_ == 0) {
-            if (listener_)
-                listener_->mretCompleted(now);
-        } else {
-            mretInFlight_ = true;
-        }
-    }
+    // The mret completes on its last pipeline-refill cycle.
+    if (insn.op == Op::kMret)
+        mretIssued(now + remaining_);
 
     lastWasLoad_ = cls == InsnClass::kLoad;
     lastLoadRd_ = insn.rd;
@@ -142,6 +104,10 @@ Cv32e40pCore::issue(const DecodedInsn &insn, Addr pc, Cycle now)
 void
 Cv32e40pCore::tick(Cycle now)
 {
+    port_.beginCycle();
+    if (protocolTick(now))
+        return;
+
     if (remaining_ > 0) {
         // CV32E40P kills in-flight multi-cycle ALU operations so the
         // interrupt is taken with constant latency.
@@ -151,20 +117,6 @@ Cv32e40pCore::tick(Cycle now)
         } else {
             --remaining_;
             ++stats_.stallCycles;
-            if (remaining_ == 0 && mretInFlight_) {
-                mretInFlight_ = false;
-                if (listener_)
-                    listener_->mretCompleted(now);
-            }
-            return;
-        }
-    }
-
-    if (sleeping_) {
-        if (exec_.pendingEnabledIrqs() != 0) {
-            sleeping_ = false;
-        } else {
-            ++stats_.wfiCycles;
             return;
         }
     }
@@ -192,10 +144,8 @@ Cv32e40pCore::tick(Cycle now)
 Cycle
 Cv32e40pCore::blockRun(Cycle now, Cycle bound)
 {
-    if (predecode_ == nullptr || remaining_ > 0 || sleeping_ ||
-        exec_.interruptReady()) {
+    if (remaining_ > 0 || !blockEntryOpen())
         return 0;
-    }
 
     // tick()'s other gates cannot fire in here: stop words (CSR,
     // system, custom) never run in-block and no interrupt is ready
@@ -213,9 +163,10 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         // A copy, as tick() fetches one: a store may re-decode the
         // very word it executes from.
         const DecodedInsn insn = *next;
-        // The port-reset component is not ticking while we run.
+        // tick() resets the port every cycle; here only the cycles
+        // that may claim it need the reset.
         if (insn.cls == InsnClass::kLoad || insn.cls == InsnClass::kStore)
-            dmemPort_.beginCycle();
+            port_.beginCycle();
         ++stats_.fetchPredecoded;
         issue(insn, pc, t);
         blockRetired(tally, insn.cls);

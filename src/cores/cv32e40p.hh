@@ -58,11 +58,10 @@ class Cv32e40pCore final : public Core
     const char *name() const override { return "cv32e40p"; }
 
   private:
-    /** Cycles the instruction at hand occupies the pipeline. */
-    unsigned costOf(const DecodedInsn &insn, const ExecResult &res) const;
-
-    /** True while a custom-instruction / mret stall condition holds. */
-    bool stalledByUnit(const DecodedInsn &insn) const;
+    /** Cycles the instruction at hand occupies the pipeline; a divide
+     *  takes @p div_bits extra. */
+    unsigned costOf(const DecodedInsn &insn, const ExecResult &res,
+                    unsigned div_bits) const;
 
     /** Issue @p insn at @p pc: execute it, retire it (or take its
      *  trap) and leave its remaining pipeline occupancy in
@@ -75,15 +74,9 @@ class Cv32e40pCore final : public Core
     unsigned remaining_ = 0;
     /** The in-flight op may be killed by an interrupt (mul/div). */
     bool abortable_ = false;
-    /** Pending mret-completion notification at the end of the stall. */
-    bool mretInFlight_ = false;
     /** Destination of the most recent load (load-use hazard). */
     RegIndex lastLoadRd_ = 0;
     bool lastWasLoad_ = false;
-    /** Sleeping in wfi. */
-    bool sleeping_ = false;
-    /** Significant dividend bits of the div in flight (latency). */
-    unsigned divOperandBits_ = 0;
 };
 
 } // namespace rtu

@@ -1,41 +1,11 @@
 #include "cva6.hh"
 
-#include <bit>
-
-#include "sim/memmap.hh"
-
 namespace rtu {
 
-Cva6Core::Cva6Core(const Env &env, SharedPort &bus_port,
-                   const Cva6Params &params)
-    : Core(env), params_(params), busPort_(bus_port),
-      dcache_(params.cache)
-{
-    predictor_.assign(params_.predictorEntries, 1);  // weakly not-taken
-}
-
-unsigned
-Cva6Core::predictorIndex(Addr pc) const
-{
-    return (pc >> 2) & (params_.predictorEntries - 1);
-}
-
-bool
-Cva6Core::stalledByUnit(const DecodedInsn &insn) const
-{
-    RtosUnitPort *unit = exec_.unit();
-    if (!unit)
-        return false;
-    switch (insn.op) {
-      case Op::kSwitchRf: return unit->switchRfStall();
-      case Op::kGetHwSched: return unit->getHwSchedStall();
-      case Op::kMret: return unit->mretStall();
-      case Op::kSemTake:
-      case Op::kSemGive:
-        return unit->semOpStall();
-      default: return false;
-    }
-}
+Cva6Core::Cva6Core(const Env &env, const Cva6Params &params)
+    : Core(env), params_(params), dcache_(params.cache),
+      predictor_(params.predictorEntries)
+{}
 
 Cycle
 Cva6Core::nextEventAt(Cycle now) const
@@ -44,10 +14,9 @@ Cva6Core::nextEventAt(Cycle now) const
     // unobservable while every other port user is quiescent (the
     // kernel's precondition for skipping) and the occupancy decrement
     // is replicated closed-form by skipTo().
-    if (mretPending_)
-        return std::max(now, mretDoneAt_);  // listener completion event
-    if (sleeping_)
-        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+    Cycle at;
+    if (protocolEventAt(now, at))
+        return at;
     if (now < issueReadyAt_)
         return issueReadyAt_;  // interrupts sampled at issue boundaries
     if (exec_.interruptReady())
@@ -76,12 +45,13 @@ Cva6Core::skipTo(Cycle now, Cycle target)
 void
 Cva6Core::busCycle(Cycle now)
 {
+    port_.beginCycle();
     // An in-flight refill owns the bus; otherwise the write-through
     // store buffer drains one entry per free cycle.
     if (now < busBusyUntil_) {
-        busPort_.claim();
+        port_.claim();
     } else if (storeBuf_ > 0) {
-        busPort_.claim();
+        port_.claim();
         --storeBuf_;
     }
 }
@@ -90,21 +60,8 @@ void
 Cva6Core::tick(Cycle now)
 {
     busCycle(now);
-
-    if (mretPending_ && now >= mretDoneAt_) {
-        mretPending_ = false;
-        if (listener_)
-            listener_->mretCompleted(now);
-    }
-
-    if (sleeping_) {
-        if (exec_.pendingEnabledIrqs() != 0) {
-            sleeping_ = false;
-        } else {
-            ++stats_.wfiCycles;
-            return;
-        }
-    }
+    if (protocolTick(now))
+        return;
 
     if (now < issueReadyAt_) {
         ++stats_.stallCycles;
@@ -163,12 +120,8 @@ Cva6Core::issue(Cycle now)
         return;
     }
 
-    unsigned div_bits = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        div_bits = 32 - std::countl_zero(dividend | 1);
-    }
-
+    const unsigned div_bits =
+        cls == InsnClass::kDiv ? divOperandBits(insn) : 0;
     const ExecResult res = exec_.execute(insn, pc);
     if (res.trap) {
         functionalTrap(res.trapCause, pc, now);
@@ -191,10 +144,7 @@ Cva6Core::issue(Cycle now)
         break;
       case InsnClass::kLoad: {
         ++stats_.memOps;
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
-        if (cacheable) {
+        if (memmap::inDmem(res.memAddr)) {
             const auto acc = dcache_.access(res.memAddr, false);
             if (acc.hit) {
                 complete = now + params_.loadHitLatency;
@@ -214,40 +164,25 @@ Cva6Core::issue(Cycle now)
       }
       case InsnClass::kStore: {
         ++stats_.memOps;
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
-        if (cacheable)
+        if (memmap::inDmem(res.memAddr))
             dcache_.access(res.memAddr, true);
         ++storeBuf_;  // drains through the bus in the background
         break;
       }
-      case InsnClass::kBranch: {
-        const unsigned idx = predictorIndex(pc);
-        std::uint8_t &ctr = predictor_[idx];
-        const bool predicted_taken = ctr >= 2;
-        if (predicted_taken != res.branchTaken) {
+      case InsnClass::kBranch:
+        if (predictor_.resolve(pc, res.branchTaken)) {
             ++stats_.branchMispredicts;
             issue_next = now + 1 + params_.mispredictPenalty;
         }
-        if (res.branchTaken) {
-            if (ctr < 3)
-                ++ctr;
-        } else if (ctr > 0) {
-            --ctr;
-        }
         break;
-      }
       case InsnClass::kJump:
         issue_next = now + (insn.op == Op::kJal ? params_.jalCycles
                                                 : params_.jalrCycles);
         break;
       case InsnClass::kSystem:
         if (insn.op == Op::kMret) {
-            ++stats_.mrets;
             issue_next = now + params_.mretCycles;
-            mretPending_ = true;
-            mretDoneAt_ = now + params_.mretCycles - 1;
+            mretIssued(issue_next - 1);
         } else if (res.isWfi) {
             sleeping_ = true;
         }
@@ -265,10 +200,8 @@ Cva6Core::issue(Cycle now)
 Cycle
 Cva6Core::blockRun(Cycle now, Cycle bound)
 {
-    if (predecode_ == nullptr || mretPending_ || sleeping_ ||
-        exec_.interruptReady()) {
+    if (!blockEntryOpen())
         return 0;
-    }
 
     Cycle t = now;
     BlockTally tally;
@@ -293,9 +226,7 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
         }
         const InsnClass cls = insn->cls;
 
-        // Cycle t is committed. beginCycle() substitutes for the
-        // port-reset component, which is not ticking while we run.
-        busPort_.beginCycle();
+        // Cycle t is committed.
         busCycle(t);
 
         // issue() applies RAW / store-buffer-full stalls by itself; a

@@ -47,8 +47,7 @@ struct Cva6Params
 class Cva6Core final : public Core
 {
   public:
-    Cva6Core(const Env &env, SharedPort &bus_port,
-             const Cva6Params &params = {});
+    Cva6Core(const Env &env, const Cva6Params &params = {});
 
     void tick(Cycle now) override;
 
@@ -68,16 +67,13 @@ class Cva6Core final : public Core
     CacheModel &dcache() { return dcache_; }
 
   private:
-    bool stalledByUnit(const DecodedInsn &insn) const;
-    /** Bus occupancy of cycle @p now: the top of every cycle that is
-     *  not skipped. */
+    /** Bus reset and occupancy of cycle @p now: the top of every
+     *  cycle that is not skipped. */
     void busCycle(Cycle now);
     /** Issue one instruction; updates timing state. */
     void issue(Cycle now);
-    unsigned predictorIndex(Addr pc) const;
 
     Cva6Params params_;
-    SharedPort &busPort_;
     CacheModel dcache_;
 
     /** Next cycle the issue stage may accept an instruction. */
@@ -90,11 +86,7 @@ class Cva6Core final : public Core
     Cycle busBusyUntil_ = 0;
     /** Write-through store buffer occupancy. */
     unsigned storeBuf_ = 0;
-    /** Bimodal 2-bit counters. */
-    std::vector<std::uint8_t> predictor_;
-    bool sleeping_ = false;
-    bool mretPending_ = false;
-    Cycle mretDoneAt_ = 0;
+    BimodalPredictor predictor_;
 };
 
 } // namespace rtu

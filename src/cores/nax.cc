@@ -1,9 +1,5 @@
 #include "nax.hh"
 
-#include <bit>
-
-#include "sim/memmap.hh"
-
 namespace rtu {
 
 // ---- ctxQueue port -------------------------------------------------------
@@ -96,34 +92,9 @@ NaxCtxQueuePort::tick()
 
 NaxCore::NaxCore(const Env &env, const NaxParams &params)
     : Core(env), params_(params), dcache_(params.cache),
-      cachePort_("nax-dcache-port"),
-      ctxPort_(*env.mem, dcache_, cachePort_, params_)
-{
-    predictor_.assign(params_.predictorEntries, 1);
-}
-
-unsigned
-NaxCore::predictorIndex(Addr pc) const
-{
-    return (pc >> 2) & (params_.predictorEntries - 1);
-}
-
-bool
-NaxCore::stalledByUnit(const DecodedInsn &insn) const
-{
-    RtosUnitPort *unit = exec_.unit();
-    if (!unit)
-        return false;
-    switch (insn.op) {
-      case Op::kSwitchRf: return unit->switchRfStall();
-      case Op::kGetHwSched: return unit->getHwSchedStall();
-      case Op::kMret: return unit->mretStall();
-      case Op::kSemTake:
-      case Op::kSemGive:
-        return unit->semOpStall();
-      default: return false;
-    }
-}
+      ctxPort_(*env.mem, dcache_, port_, params_),
+      predictor_(params.predictorEntries)
+{}
 
 void
 NaxCore::retire(Cycle now)
@@ -135,13 +106,12 @@ NaxCore::retire(Cycle now)
 Cycle
 NaxCore::nextEventAt(Cycle now) const
 {
-    // The per-cycle cachePort_.beginCycle()/claim() bookkeeping is
+    // The per-cycle port_.beginCycle()/claim() bookkeeping is
     // unobservable while the ctxQueue (the only other port user) is
     // quiescent — the kernel's precondition for skipping.
-    if (mretPending_)
-        return std::max(now, mretDoneAt_);  // listener completion event
-    if (sleeping_)
-        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+    Cycle at;
+    if (protocolEventAt(now, at))
+        return at;
     if (exec_.interruptReady()) {
         // Taken at the first commit boundary; until then the core only
         // burns stall cycles (and deliberately does not retire).
@@ -180,34 +150,18 @@ NaxCore::skipTo(Cycle now, Cycle target)
 void
 NaxCore::portCycle(Cycle now)
 {
-    // The cache port must be reset each core cycle (the simulation
-    // only manages the system-level ports).
-    cachePort_.beginCycle();
-
+    port_.beginCycle();
     // A refill in flight owns the D$ port.
     if (now < cacheBusyUntil_)
-        cachePort_.claim();
+        port_.claim();
 }
 
 void
 NaxCore::tick(Cycle now)
 {
     portCycle(now);
-
-    if (mretPending_ && now >= mretDoneAt_) {
-        mretPending_ = false;
-        if (listener_)
-            listener_->mretCompleted(now);
-    }
-
-    if (sleeping_) {
-        if (exec_.pendingEnabledIrqs() != 0) {
-            sleeping_ = false;
-        } else {
-            ++stats_.wfiCycles;
-            return;
-        }
-    }
+    if (protocolTick(now))
+        return;
 
     // Interrupts redirect the front-end themselves, so a pending
     // branch/mret redirect (dispatchBlockedUntil_) does not delay
@@ -243,7 +197,7 @@ NaxCore::tick(Cycle now)
         return;
     }
 
-    for (unsigned slot = 0; slot < params_.dispatchWidth; ++slot) {
+    for (unsigned slot = 0; slot < kDispatchWidth; ++slot) {
         if (!dispatchOne(now))
             break;
     }
@@ -274,12 +228,8 @@ NaxCore::dispatchOne(Cycle now)
 
     const InsnClass cls = insn.cls;
 
-    unsigned div_bits = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        div_bits = 32 - std::countl_zero(dividend | 1);
-    }
-
+    const unsigned div_bits =
+        cls == InsnClass::kDiv ? divOperandBits(insn) : 0;
     const ExecResult res = exec_.execute(insn, pc);
     if (res.trap) {
         functionalTrap(res.trapCause, pc, now);
@@ -310,13 +260,10 @@ NaxCore::dispatchOne(Cycle now)
         ++stats_.memOps;
         const Cycle start = std::max(ops_ready, lsuFreeAt_);
         lsuFreeAt_ = start + 1;
-        if (!cachePort_.claimed())
-            cachePort_.claim();
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
+        if (!port_.claimed())
+            port_.claim();
         unsigned lat = params_.loadHitLatency;
-        if (cacheable) {
+        if (memmap::inDmem(res.memAddr)) {
             const auto acc = dcache_.access(res.memAddr, false);
             if (!acc.hit) {
                 ++stats_.cacheMisses;
@@ -338,12 +285,9 @@ NaxCore::dispatchOne(Cycle now)
         ++stats_.memOps;
         const Cycle start = std::max(ops_ready, lsuFreeAt_);
         lsuFreeAt_ = start + 1;
-        if (!cachePort_.claimed())
-            cachePort_.claim();
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
-        if (cacheable) {
+        if (!port_.claimed())
+            port_.claim();
+        if (memmap::inDmem(res.memAddr)) {
             const auto acc = dcache_.access(res.memAddr, true);
             if (!acc.hit) {
                 ++stats_.cacheMisses;
@@ -362,20 +306,11 @@ NaxCore::dispatchOne(Cycle now)
         auto &fu = aluFreeAt_[aluFreeAt_[0] <= aluFreeAt_[1] ? 0 : 1];
         fu = start + 1;
         complete = start + 1;
-        const unsigned idx = predictorIndex(pc);
-        std::uint8_t &ctr = predictor_[idx];
-        const bool predicted_taken = ctr >= 2;
-        if (predicted_taken != res.branchTaken) {
+        if (predictor_.resolve(pc, res.branchTaken)) {
             ++stats_.branchMispredicts;
             // Front-end redirect after the branch resolves.
             dispatchBlockedUntil_ = complete + params_.redirectPenalty;
             block_group = true;
-        }
-        if (res.branchTaken) {
-            if (ctr < 3)
-                ++ctr;
-        } else if (ctr > 0) {
-            --ctr;
         }
         break;
       }
@@ -391,12 +326,10 @@ NaxCore::dispatchOne(Cycle now)
       case InsnClass::kSystem: {
         complete = std::max(ops_ready, now) + 1;
         if (insn.op == Op::kMret) {
-            ++stats_.mrets;
             const Cycle done = std::max(drainAt_, complete) +
                                params_.mretPenalty;
             dispatchBlockedUntil_ = done;
-            mretPending_ = true;
-            mretDoneAt_ = done - 1;
+            mretIssued(done - 1);
             block_group = true;
         } else if (res.isWfi) {
             sleeping_ = true;
@@ -415,9 +348,9 @@ NaxCore::dispatchOne(Cycle now)
       }
     }
 
-    // In-order commit, up to dispatchWidth per cycle.
+    // In-order commit, up to kDispatchWidth per cycle.
     Cycle commit = std::max(complete, lastCommitAt_);
-    if (commit == lastCommitAt_ && commitsAtLast_ >= params_.dispatchWidth)
+    if (commit == lastCommitAt_ && commitsAtLast_ >= kDispatchWidth)
         commit += 1;
     if (commit == lastCommitAt_) {
         ++commitsAtLast_;
@@ -437,12 +370,8 @@ NaxCore::dispatchOne(Cycle now)
 Cycle
 NaxCore::blockRun(Cycle now, Cycle bound)
 {
-    // Wider front-ends would need deeper group pre-verification than
-    // the two-slot analysis below.
-    if (predecode_ == nullptr || params_.dispatchWidth > 2 ||
-        mretPending_ || sleeping_ || exec_.interruptReady()) {
+    if (!blockEntryOpen())
         return 0;
-    }
 
     Cycle t = now;
     BlockTally tally;
@@ -480,12 +409,12 @@ NaxCore::blockRun(Cycle now, Cycle bound)
 
         // Resolve slot 0's control flow without executing it, to learn
         // the group width and slot 1's pc.
-        bool one_wide = params_.dispatchWidth < 2;
+        bool one_wide = false;
         Addr pc1 = pc0 + 4;
         if (cls0 == InsnClass::kBranch) {
             const bool taken = Executor::evalBranch(
                 insn0->op, state_.reg(insn0->rs1), state_.reg(insn0->rs2));
-            if ((predictor_[predictorIndex(pc0)] >= 2) != taken)
+            if (predictor_.predictTaken(pc0) != taken)
                 one_wide = true;  // mispredict redirects the front-end
             if (taken)
                 pc1 = pc0 + static_cast<Word>(insn0->imm);

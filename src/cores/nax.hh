@@ -34,12 +34,10 @@ namespace rtu {
 
 struct NaxParams
 {
-    unsigned dispatchWidth = 2;
     unsigned robEntries = 32;
     unsigned trapEntryPenalty = 8;
     unsigned mretPenalty = 8;
     unsigned redirectPenalty = 2;   ///< after branch resolution
-    unsigned aluCount = 2;
     unsigned mulLatency = 3;
     unsigned divBaseLatency = 4;    ///< plus one per significant bit
     unsigned loadHitLatency = 3;
@@ -123,22 +121,22 @@ class NaxCore final : public Core
     const char *name() const override { return "naxriscv"; }
 
     CacheModel &dcache() { return dcache_; }
-    SharedPort &cachePort() { return cachePort_; }
     /** The RTOSUnit-side memory port (LSU ctxQueue, Fig 8). */
     UnitMemPort &ctxQueuePort() { return ctxPort_; }
 
   private:
-    bool stalledByUnit(const DecodedInsn &insn) const;
-    /** D$-port occupancy of cycle @p now: the top of every cycle that
-     *  is not skipped. */
+    /** Dispatch and commit width (the block path's group
+     *  pre-verification covers exactly two slots). */
+    static constexpr unsigned kDispatchWidth = 2;
+
+    /** D$-port reset and occupancy of cycle @p now: the top of every
+     *  cycle that is not skipped. */
     void portCycle(Cycle now);
     bool dispatchOne(Cycle now);
     void retire(Cycle now);
-    unsigned predictorIndex(Addr pc) const;
 
     NaxParams params_;
     CacheModel dcache_;
-    SharedPort cachePort_;
     NaxCtxQueuePort ctxPort_;
 
     Cycle dispatchBlockedUntil_ = 0;
@@ -151,10 +149,7 @@ class NaxCore final : public Core
     unsigned commitsAtLast_ = 0;
     Cycle drainAt_ = 0;
     std::deque<Cycle> rob_;  ///< commit cycles of in-flight insns
-    std::vector<std::uint8_t> predictor_;
-    bool sleeping_ = false;
-    bool mretPending_ = false;
-    Cycle mretDoneAt_ = 0;
+    BimodalPredictor predictor_;
 };
 
 } // namespace rtu

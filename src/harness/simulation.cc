@@ -71,8 +71,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
       dmem_("dmem", memmap::kDmemBase, memmap::kDmemSize),
       clint_(irq_), hostio_(irq_, ext_),
       exec_(state_, mem_, irq_),
-      dmemPort_("dmem-port"), busPort_("bus-port"),
-      portReset_(dmemPort_, busPort_)
+      port_("core-port")
 {
     std::string why;
     if (!config_.unit.validate(&why))
@@ -106,7 +105,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     env.exec = &exec_;
     env.mem = &mem_;
     env.irq = &irq_;
-    env.dmemPort = &dmemPort_;
+    env.port = &port_;
     env.clint = &clint_;
     if (predecode_.installed())
         env.predecode = &predecode_;
@@ -117,7 +116,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
         core_ = std::make_unique<Cv32e40pCore>(env);
         break;
       case CoreKind::kCva6:
-        core_ = std::make_unique<Cva6Core>(env, busPort_);
+        core_ = std::make_unique<Cva6Core>(env);
         break;
       case CoreKind::kNax: {
         NaxParams np;
@@ -139,22 +138,15 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
         cv32rt_ = std::make_unique<Cv32rtUnit>(state_, *unitPort_, hook);
         exec_.setUnit(cv32rt_.get(), config_.unit);
     } else if (config_.unit.anyHardware()) {
-        // RTOSUnit arbitration point per core (paper Section 5):
-        // CV32E40P at the LSU/DMEM port, CVA6 at the bus, NaxRiscv
-        // inside the LSU via the ctxQueue.
+        // RTOSUnit arbitration point per core (paper Section 5): the
+        // core's port (CV32E40P LSU/DMEM, CVA6 bus), or on NaxRiscv
+        // the LSU's ctxQueue in front of the D$ port.
         UnitMemPort *port = nullptr;
-        switch (config_.core) {
-          case CoreKind::kCv32e40p:
-            unitPort_ = std::make_unique<DirectUnitPort>(dmemPort_, mem_);
-            port = unitPort_.get();
-            break;
-          case CoreKind::kCva6:
-            unitPort_ = std::make_unique<DirectUnitPort>(busPort_, mem_);
-            port = unitPort_.get();
-            break;
-          case CoreKind::kNax:
+        if (nax) {
             port = &nax->ctxQueuePort();
-            break;
+        } else {
+            unitPort_ = std::make_unique<DirectUnitPort>(port_, mem_);
+            port = unitPort_.get();
         }
         unit_ = std::make_unique<RtosUnit>(config_.unit, state_, *port);
         exec_.setUnit(unit_.get(), config_.unit);
@@ -170,11 +162,11 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
         cv32rt_->setPhaseObserver(this);
 
     // Registration order is the intra-cycle tick order and must match
-    // the historical hand-written loop: devices first, then the core,
-    // then the unit (which consumes what the core pushed this cycle).
+    // the historical hand-written loop: devices first, then the core
+    // (which resets and claims its port), then the unit (which
+    // consumes what the core pushed this cycle).
     kernel_.add(&clint_);
     kernel_.add(&ext_);
-    kernel_.add(&portReset_);
     kernel_.add(core_.get());
     if (unit_)
         kernel_.add(unit_.get());

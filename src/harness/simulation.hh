@@ -173,35 +173,6 @@ class Simulation : public CoreListener, public PhaseObserver
     Word currentGuestTask();
 
   private:
-    /** Per-cycle SharedPort resets folded into one kernel component
-     *  (they used to be two unconditional calls in the run loop). */
-    class PortReset : public Clocked
-    {
-      public:
-        PortReset(SharedPort &a, SharedPort &b) : a_(a), b_(b) {}
-
-        void
-        tick(Cycle now) override
-        {
-            (void)now;
-            a_.beginCycle();
-            b_.beginCycle();
-        }
-
-        /** Resetting claim flags nobody reads during a skip is dead
-         *  work; the first tick after the skip re-runs it anyway. */
-        Cycle
-        nextEventAt(Cycle now) const override
-        {
-            (void)now;
-            return kNoEvent;
-        }
-
-      private:
-        SharedPort &a_;
-        SharedPort &b_;
-    };
-
     void trapTaken(Word cause, Cycle entry_cycle) override;
     void mretCompleted(Cycle cycle) override;
     void phaseReached(SwitchPhase phase, Cycle cycle) override;
@@ -223,9 +194,8 @@ class Simulation : public CoreListener, public PhaseObserver
     ArchState state_;
     Executor exec_;
     PredecodedImage predecode_;
-    SharedPort dmemPort_;
-    SharedPort busPort_;
-    PortReset portReset_;
+    /** The core's memory port; the core resets it every cycle. */
+    SharedPort port_;
     SimKernel kernel_;
 
     std::unique_ptr<UnitMemPort> unitPort_;

@@ -119,8 +119,8 @@ class MemSystem
 /**
  * One shared request port per cycle. The core claims it with priority;
  * the RTOSUnit's FSMs succeed only on cycles the core left idle.
- * The simulation calls beginCycle() first each cycle, then ticks the
- * core (which may claim()), then the RTOSUnit (which may tryUse()).
+ * Each cycle the core calls beginCycle() at the top of its tick, then
+ * may claim(); the RTOSUnit, ticked after it, may tryUse().
  */
 class SharedPort
 {

@@ -29,6 +29,20 @@ constexpr unsigned kCtxWordsPerTask = 32;  // 31 used + 1 padding
 constexpr unsigned kCtxMaxTasks = 32;
 constexpr Addr kCtxSize = kCtxMaxTasks << kCtxShift;
 
+/** [@p addr, @p addr + @p size) lies wholly in IMEM / DMEM (the
+ *  unsigned difference also rejects addresses below the base). */
+constexpr bool
+inImem(Addr addr, Addr size = 1)
+{
+    return addr - kImemBase <= kImemSize - size;
+}
+
+constexpr bool
+inDmem(Addr addr, Addr size = 1)
+{
+    return addr - kDmemBase <= kDmemSize - size;
+}
+
 static_assert(kCtxBase + kCtxSize <= kDmemBase + kDmemSize,
               "context region must sit inside DMEM");
 

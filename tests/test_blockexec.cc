@@ -115,6 +115,34 @@ TEST(Blockexec, MidBlockBitFlipExecutesTheFlip)
     EXPECT_EQ(off.blocksExecuted, 0u);
 }
 
+/** A load whose effective address wraps past 2^32 (x0 - 2) is not
+ *  plain SRAM: block mode must leave it to the per-instruction path,
+ *  so its guest fault ends the run on the reference's cycle. */
+TEST(Blockexec, WrappingLoadAddressFaultsOnTheReferenceCycle)
+{
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    for (int i = 0; i < 8; ++i)
+        a.addi(A0, A0, 1);
+    a.lw(A1, -2, Zero);
+    a.label("spin");
+    a.j("spin");
+    const Program p = a.finish();
+
+    for (CoreKind core :
+         {CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax}) {
+        auto run = [&](bool block_exec) {
+            SimConfig cfg = bareConfig(block_exec);
+            cfg.core = core;
+            Simulation sim(cfg, p);
+            EXPECT_FALSE(sim.run());
+            EXPECT_EQ(sim.status(), RunStatus::kGuestFault);
+            return std::pair{sim.now(), sim.coreStats().instret};
+        };
+        EXPECT_EQ(run(true), run(false)) << coreKindName(core);
+    }
+}
+
 TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
 {
     SweepPoint p;

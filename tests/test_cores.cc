@@ -22,8 +22,7 @@ class CoreHarness : public CoreListener
     explicit CoreHarness(const Program &program)
         : imem("imem", memmap::kImemBase, memmap::kImemSize),
           dmem("dmem", memmap::kDmemBase, memmap::kDmemSize),
-          clint(irq), exec(state, mem, irq), dmemPort("dmem"),
-          busPort("bus")
+          clint(irq), exec(state, mem, irq), port("port")
     {
         mem.addDevice(&imem);
         mem.addDevice(&dmem);
@@ -43,7 +42,7 @@ class CoreHarness : public CoreListener
         env.exec = &exec;
         env.mem = &mem;
         env.irq = &irq;
-        env.dmemPort = &dmemPort;
+        env.port = &port;
         env.clint = &clint;
         auto c = std::make_unique<CoreT>(env, std::forward<Args>(args)...);
         CoreT *raw = c.get();
@@ -64,9 +63,8 @@ class CoreHarness : public CoreListener
     void
     step()
     {
+        // No port reset here: every core resets its own port.
         clint.tick(now);
-        dmemPort.beginCycle();
-        busPort.beginCycle();
         core->tick(now);
         ++now;
     }
@@ -86,8 +84,7 @@ class CoreHarness : public CoreListener
     Clint clint;
     ArchState state;
     Executor exec;
-    SharedPort dmemPort;
-    SharedPort busPort;
+    SharedPort port;
     std::unique_ptr<Core> core;
     Cycle now = 0;
     Word lastTrapCause = 0;
@@ -105,6 +102,46 @@ straightLine(unsigned alu_insns)
     a.label("end");
     a.j("end");
     return a.finish();
+}
+
+TEST(BimodalPredictor, StartsWeaklyNotTakenAndReportsMisses)
+{
+    BimodalPredictor bp(8);
+    for (Addr pc = 0; pc < 64; pc += 4)
+        EXPECT_FALSE(bp.predictTaken(pc)) << pc;
+    EXPECT_FALSE(bp.resolve(0x100, false));  // predicted not-taken
+    EXPECT_TRUE(bp.resolve(0x104, true));    // 1 -> 2: a miss
+    EXPECT_TRUE(bp.predictTaken(0x104));     // one taken flips it
+    EXPECT_FALSE(bp.resolve(0x104, true));
+}
+
+TEST(BimodalPredictor, SaturatesAtZeroAndThree)
+{
+    BimodalPredictor bp(8);
+    for (int i = 0; i < 5; ++i)
+        bp.resolve(0, true);  // saturates at 3
+    EXPECT_TRUE(bp.resolve(0, false));   // 3 -> 2, still taken
+    EXPECT_TRUE(bp.predictTaken(0));
+    EXPECT_TRUE(bp.resolve(0, false));   // 2 -> 1
+    EXPECT_FALSE(bp.predictTaken(0));
+    for (int i = 0; i < 5; ++i)
+        bp.resolve(0, false);  // saturates at 0
+    EXPECT_TRUE(bp.resolve(0, true));    // 0 -> 1, still not-taken
+    EXPECT_FALSE(bp.predictTaken(0));
+    EXPECT_TRUE(bp.resolve(0, true));    // 1 -> 2
+    EXPECT_TRUE(bp.predictTaken(0));
+}
+
+TEST(BimodalPredictor, IndexWrapsByEntryCount)
+{
+    // Word addresses index the table modulo its size: with 4 entries
+    // pc 0x0 and 0x10 share a counter, 0x4 and 0x8 do not.
+    BimodalPredictor bp(4);
+    bp.resolve(0x0, true);
+    EXPECT_TRUE(bp.predictTaken(0x10));
+    EXPECT_TRUE(bp.predictTaken(0x1000));
+    EXPECT_FALSE(bp.predictTaken(0x4));
+    EXPECT_FALSE(bp.predictTaken(0x8));
 }
 
 TEST(Cv32e40pTiming, OneCyclePerAluInsn)
@@ -247,9 +284,9 @@ TEST(Cva6Timing, ScoreboardOverlapsDivideWithIndependentWork)
     const Program dep = build(true);
     const Program indep = build(false);
     CoreHarness h1(dep);
-    h1.make<Cva6Core>(h1.busPort);
+    h1.make<Cva6Core>();
     CoreHarness h2(indep);
-    h2.make<Cva6Core>(h2.busPort);
+    h2.make<Cva6Core>();
     const Cycle t_dep = h1.runUntilPc(dep.symbol("end"));
     const Cycle t_indep = h2.runUntilPc(indep.symbol("end"));
     EXPECT_GT(t_dep, t_indep + 5);
@@ -273,9 +310,9 @@ TEST(Cva6Timing, CacheMissCostsMoreThanHit)
     const Program hit = measure(true);
     const Program miss = measure(false);
     CoreHarness h1(hit);
-    h1.make<Cva6Core>(h1.busPort);
+    h1.make<Cva6Core>();
     CoreHarness h2(miss);
-    h2.make<Cva6Core>(h2.busPort);
+    h2.make<Cva6Core>();
     EXPECT_LT(h1.runUntilPc(hit.symbol("end")),
               h2.runUntilPc(miss.symbol("end")));
 }
